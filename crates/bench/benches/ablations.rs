@@ -13,9 +13,8 @@ use nsky_skyline::budget::ExecutionBudget;
 use nsky_skyline::obs::{CountingRecorder, NoopRecorder};
 use nsky_skyline::snapshot::FileCheckpointer;
 use nsky_skyline::{
-    base_sky, base_sky_budgeted, base_sky_early_exit, base_sky_resumable, filter_refine_sky,
-    filter_refine_sky_budgeted, filter_refine_sky_recorded, filter_refine_sky_resumable,
-    RefineConfig,
+    base_sky, base_sky_early_exit, base_sky_with, filter_refine_sky, filter_refine_sky_with,
+    ExecutionContext, RefineConfig,
 };
 use std::time::Duration;
 
@@ -104,8 +103,8 @@ fn bench_ablation_celf() {
         .finish();
 }
 
-/// The cost of an armed-but-untripped budget: open-loop kernels vs the
-/// budgeted entry points under a far wall-clock deadline that forces
+/// The cost of an armed-but-untripped budget: open-loop kernels vs their
+/// `*_with` entry points under a far wall-clock deadline that forces
 /// every ticker poll without ever tripping. Target: <2% overhead (the
 /// `[Complete]` tag on the budgeted lines confirms no trip occurred).
 fn bench_ablation_budget_overhead() {
@@ -117,13 +116,14 @@ fn bench_ablation_budget_overhead() {
         .sample_size(10)
         .bench("FilterRefineSky-open-loop", || filter_refine_sky(&g, &cfg))
         .bench_budgeted("FilterRefineSky-budgeted", || {
-            let r = filter_refine_sky_budgeted(&g, &cfg, &far());
+            let r = filter_refine_sky_with(&g, &cfg, &mut ExecutionContext::new().budget(&far()))
+                .outcome;
             let completion = r.completion;
             (r, completion)
         })
         .bench("BaseSky-open-loop", || base_sky(&g))
         .bench_budgeted("BaseSky-budgeted", || {
-            let r = base_sky_budgeted(&g, &far());
+            let r = base_sky_with(&g, &mut ExecutionContext::new().budget(&far())).outcome;
             let completion = r.completion;
             (r, completion)
         })
@@ -131,8 +131,8 @@ fn bench_ablation_budget_overhead() {
 }
 
 /// The cost of periodic checkpointing on an uninterrupted run: budgeted
-/// kernels (no checkpoint period armed) vs the `*_resumable` entry
-/// points snapshotting to a [`FileCheckpointer`] every 1024 polls (the
+/// kernels (no checkpoint period armed) vs contexts that also arm a
+/// [`FileCheckpointer`] sink, snapshotting every 1024 polls (the
 /// CLI's default `--checkpoint-interval`). Target: <5% overhead at the
 /// default interval; the denser 64-poll line shows how the cost scales
 /// when snapshots are taken 16x as often.
@@ -145,7 +145,8 @@ fn bench_ablation_checkpoint_overhead() {
     group
         .sample_size(10)
         .bench_budgeted("FilterRefineSky-no-checkpoint", || {
-            let r = filter_refine_sky_budgeted(&g, &cfg, &far());
+            let r = filter_refine_sky_with(&g, &cfg, &mut ExecutionContext::new().budget(&far()))
+                .outcome;
             let completion = r.completion;
             (r, completion)
         });
@@ -154,13 +155,16 @@ fn bench_ablation_checkpoint_overhead() {
             let budget = far();
             budget.set_checkpoint_period(period);
             let mut sink = FileCheckpointer::new(&path);
-            let run = filter_refine_sky_resumable(&g, &cfg, &budget, None, Some(&mut sink));
+            let mut ctx = ExecutionContext::new()
+                .budget(&budget)
+                .checkpoint(Some(&mut sink));
+            let run = filter_refine_sky_with(&g, &cfg, &mut ctx);
             let completion = run.outcome.completion;
             (run, completion)
         });
     }
     group.bench_budgeted("BaseSky-no-checkpoint", || {
-        let r = base_sky_budgeted(&g, &far());
+        let r = base_sky_with(&g, &mut ExecutionContext::new().budget(&far())).outcome;
         let completion = r.completion;
         (r, completion)
     });
@@ -169,7 +173,10 @@ fn bench_ablation_checkpoint_overhead() {
             let budget = far();
             budget.set_checkpoint_period(period);
             let mut sink = FileCheckpointer::new(&path);
-            let run = base_sky_resumable(&g, &budget, None, Some(&mut sink));
+            let mut ctx = ExecutionContext::new()
+                .budget(&budget)
+                .checkpoint(Some(&mut sink));
+            let run = base_sky_with(&g, &mut ctx);
             let completion = run.outcome.completion;
             (run, completion)
         });
@@ -179,7 +186,7 @@ fn bench_ablation_checkpoint_overhead() {
 }
 
 /// The cost of observability on the refine kernel: the uninstrumented
-/// entry point vs `filter_refine_sky_recorded` under a [`NoopRecorder`]
+/// entry point vs `filter_refine_sky_with` under a [`NoopRecorder`]
 /// (target: within noise — every recorder call is an inlined no-op) and
 /// under a live [`CountingRecorder`] (target: <3% — counters are bulk
 /// deltas flushed at phase boundaries, never per-event atomics).
@@ -191,11 +198,16 @@ fn bench_ablation_obs_overhead() {
         .sample_size(10)
         .bench("refine-uninstrumented", || filter_refine_sky(&g, &cfg))
         .bench("refine-noop-recorder", || {
-            filter_refine_sky_recorded(&g, &cfg, &NoopRecorder)
+            filter_refine_sky_with(
+                &g,
+                &cfg,
+                &mut ExecutionContext::new().recorder(&NoopRecorder),
+            )
+            .outcome
         })
         .bench("refine-counting-recorder", || {
             let rec = CountingRecorder::new();
-            filter_refine_sky_recorded(&g, &cfg, &rec)
+            filter_refine_sky_with(&g, &cfg, &mut ExecutionContext::new().recorder(&rec)).outcome
         })
         .finish();
 }

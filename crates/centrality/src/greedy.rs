@@ -19,9 +19,7 @@ use crate::measure::GroupMeasure;
 use nsky_graph::{Graph, VertexId};
 use nsky_skyline::budget::{BudgetTicker, Completion, ExecutionBudget};
 use nsky_skyline::exec::{self, ExecutionContext};
-use nsky_skyline::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
+use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Options of [`greedy_group`].
@@ -271,10 +269,15 @@ pub fn greedy_group<M: GroupMeasure>(
 /// combination. The recorder sees one `"greedy"` span around the
 /// selection rounds plus a bulk flush of the run's evaluation counters
 /// (`gain_evaluations`, `lazy_skips`) at exit; the round loops never
-/// touch it. When resuming, use the same measure, `k`, and options the
-/// snapshot was taken under — the state embeds none of them, so a
-/// mismatched resume silently maximizes the wrong objective (the graph
-/// fingerprint only pins the graph).
+/// touch it. After a budget trip the outcome holds the greedy prefix
+/// committed so far (each member was a genuine per-round argmax) with
+/// the trip status in [`GreedyOutcome::completion`]; commits are atomic
+/// — the budget is polled between and within gain *evaluations*, never
+/// inside the state update of an already-chosen seed. When resuming,
+/// use the same measure, `k`, and options the snapshot was taken under
+/// — the state embeds none of them, so a mismatched resume silently
+/// maximizes the wrong objective (the graph fingerprint only pins the
+/// graph).
 pub fn greedy_group_with<M: GroupMeasure>(
     g: &Graph,
     measure: M,
@@ -302,25 +305,6 @@ pub fn greedy_group_with<M: GroupMeasure>(
     run
 }
 
-/// Deprecated twin: use [`greedy_group_with`] with a recorder-armed
-/// context.
-pub fn greedy_group_recorded<M: GroupMeasure>(
-    g: &Graph,
-    measure: M,
-    k: usize,
-    opts: &GreedyOptions,
-    rec: &dyn nsky_skyline::obs::Recorder,
-) -> GreedyOutcome {
-    greedy_group_with(
-        g,
-        measure,
-        k,
-        opts,
-        &mut ExecutionContext::new().recorder(rec),
-    )
-    .outcome
-}
-
 /// Flushes a finished run's evaluation counters into a recorder — one
 /// bulk call per field, at the entry-point boundary.
 pub(crate) fn record_greedy_counters(rec: &dyn nsky_skyline::obs::Recorder, out: &GreedyOutcome) {
@@ -329,30 +313,6 @@ pub(crate) fn record_greedy_counters(rec: &dyn nsky_skyline::obs::Recorder, out:
         out.gain_evaluations,
     );
     rec.add(nsky_skyline::obs::Counter::LazySkips, out.lazy_skips);
-}
-
-/// Deprecated twin: use [`greedy_group_with`] with a budget-armed
-/// context. With an unlimited budget the output is identical to
-/// [`greedy_group`]; after a trip the outcome holds the greedy prefix
-/// committed so far (each member was a genuine per-round argmax) with
-/// the trip status in [`GreedyOutcome::completion`]. Commits are atomic
-/// — the budget is polled between and within gain *evaluations*, never
-/// inside the state update of an already-chosen seed.
-pub fn greedy_group_budgeted<M: GroupMeasure>(
-    g: &Graph,
-    measure: M,
-    k: usize,
-    opts: &GreedyOptions,
-    budget: &ExecutionBudget,
-) -> GreedyOutcome {
-    greedy_group_with(
-        g,
-        measure,
-        k,
-        opts,
-        &mut ExecutionContext::new().budget(budget),
-    )
-    .outcome
 }
 
 /// CELF is still seeding its queue with first-round gains.
@@ -477,33 +437,6 @@ pub(crate) fn valid_greedy_state(g: &Graph, st: &GreedyState) -> bool {
         && st.seed_cursor <= n
         && st.group.iter().all(|&u| (u as usize) < n && seen.insert(u))
         && st.entries.iter().all(|&(_, v, _)| (v as usize) < n)
-}
-
-/// Deprecated twin: use [`greedy_group_with`] with a context arming
-/// budget, resume and checkpoint sink together (see
-/// `nsky_skyline::snapshot` for the contract). Resume with the same
-/// measure, `k`, and options the snapshot was taken under — the state
-/// embeds none of them, so a mismatched resume silently maximizes the
-/// wrong objective (the graph fingerprint only pins the graph).
-pub fn greedy_group_resumable<'a, M: GroupMeasure>(
-    g: &Graph,
-    measure: M,
-    k: usize,
-    opts: &GreedyOptions,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<GreedyOutcome> {
-    greedy_group_with(
-        g,
-        measure,
-        k,
-        opts,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
 }
 
 pub(crate) fn greedy_leg<M: GroupMeasure>(

@@ -173,6 +173,7 @@ EXIT CODES:
 mod tests {
     use super::run;
     use nsky_skyline::Completion;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -192,8 +193,13 @@ mod tests {
         run(&s(v)).unwrap_err().to_string()
     }
 
+    /// Writes the karate graph to a fresh edge-list file. Every call
+    /// gets its own path (pid plus a sequence number), so tests running
+    /// on parallel threads never delete each other's input.
     fn write_karate() -> String {
-        let path = std::env::temp_dir().join(format!("nsky-test-{}.txt", std::process::id()));
+        static SEQ: AtomicU32 = AtomicU32::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("nsky-test-{}-{seq}.txt", std::process::id()));
         let g = nsky_datasets::karate();
         let mut buf = Vec::new();
         nsky_graph::io::write_edge_list(&g, &mut buf).unwrap();

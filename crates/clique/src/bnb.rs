@@ -4,9 +4,7 @@ use nsky_graph::{Graph, VertexId};
 use nsky_skyline::budget::{BudgetTicker, Completion, ExecutionBudget};
 use nsky_skyline::exec::{self, ExecutionContext};
 use nsky_skyline::obs::{Counter, Recorder};
-use nsky_skyline::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
+use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 
 /// Search counters, printed by the harness to show *why* the skyline
 /// pruning wins (fewer root branches).
@@ -213,18 +211,6 @@ pub fn max_clique_bnb_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> Resumab
     run
 }
 
-/// Deprecated twin: use [`max_clique_bnb_with`] with a recorder-armed
-/// context.
-pub fn max_clique_bnb_recorded(g: &Graph, rec: &dyn Recorder) -> CliqueRun {
-    max_clique_bnb_with(g, &mut ExecutionContext::new().recorder(rec)).outcome
-}
-
-/// Deprecated twin: use [`max_clique_bnb_with`] with a budget-armed
-/// context.
-pub fn max_clique_bnb_budgeted(g: &Graph, budget: &ExecutionBudget) -> CliqueRun {
-    max_clique_bnb_with(g, &mut ExecutionContext::new().budget(budget)).outcome
-}
-
 /// Resume state of an interrupted [`max_clique_bnb`] run: the best
 /// clique found before the trip. Resuming restarts the (deterministic)
 /// search with the saved clique as the incumbent; the coloring bound is
@@ -258,24 +244,6 @@ pub(crate) fn valid_clique(g: &Graph, c: &[VertexId]) -> bool {
     c.iter().all(|&v| (v as usize) < g.num_vertices())
         && c.windows(2).all(|w| w[0] < w[1])
         && crate::is_clique(g, c)
-}
-
-/// Deprecated twin: use [`max_clique_bnb_with`] with a context arming
-/// budget, resume and checkpoint sink together (see
-/// `nsky_skyline::snapshot` for the contract).
-pub fn max_clique_bnb_resumable<'a>(
-    g: &Graph,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<CliqueRun> {
-    max_clique_bnb_with(
-        g,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
 }
 
 fn bnb_leg(g: &Graph, budget: &ExecutionBudget, state: BnbState) -> (CliqueRun, BnbState) {
@@ -327,34 +295,18 @@ fn bnb_leg(g: &Graph, budget: &ExecutionBudget, state: BnbState) -> (CliqueRun, 
 
 /// Largest clique **containing** `seed` that strictly beats
 /// `lower_bound`, searched within `seed`'s ego network restricted to
-/// `allowed` (pass `None` for no restriction).
+/// `allowed` (pass `None` for no restriction), driven by a caller-owned
+/// [`BudgetTicker`] (pass [`BudgetTicker::inert`] for an unbudgeted
+/// search).
 ///
 /// Returns `None` when no containing clique exceeds `lower_bound`
 /// (passing `lower_bound = 0` therefore always yields the exact
-/// maximum-containing clique, since `{seed}` itself has size 1).
-pub fn max_clique_containing(
-    g: &Graph,
-    seed: VertexId,
-    allowed: Option<&[bool]>,
-    lower_bound: usize,
-    stats: &mut CliqueStats,
-) -> Option<Vec<VertexId>> {
-    max_clique_containing_budgeted(
-        g,
-        seed,
-        allowed,
-        lower_bound,
-        stats,
-        &mut BudgetTicker::inert(),
-    )
-}
-
-/// [`max_clique_containing`] driven by a caller-owned [`BudgetTicker`].
-/// When the ticker trips mid-search the best containing clique found so
-/// far (if it beats `lower_bound`) is returned; inspect
+/// maximum-containing clique, since `{seed}` itself has size 1). When
+/// the ticker trips mid-search the best containing clique found so far
+/// (if it beats `lower_bound`) is returned; inspect
 /// [`BudgetTicker::status`] to distinguish an exhausted search from a
 /// tripped one.
-pub fn max_clique_containing_budgeted(
+pub fn max_clique_containing(
     g: &Graph,
     seed: VertexId,
     allowed: Option<&[bool]>,
@@ -456,11 +408,12 @@ mod tests {
 
     #[test]
     fn containing_clique_is_exact() {
+        let mut ticker = BudgetTicker::inert();
         for seed in 0..5 {
             let g = erdos_renyi(25, 0.35, seed);
             let mut stats = CliqueStats::default();
             for u in g.vertices() {
-                let c = max_clique_containing(&g, u, None, 0, &mut stats)
+                let c = max_clique_containing(&g, u, None, 0, &mut stats, &mut ticker)
                     .expect("lower_bound 0 always yields a clique");
                 assert!(c.contains(&u));
                 assert!(is_clique(&g, &c));
@@ -478,7 +431,8 @@ mod tests {
         let mut allowed = vec![true; 5];
         allowed[4] = false;
         let mut stats = CliqueStats::default();
-        let c = max_clique_containing(&g, 0, Some(&allowed), 0, &mut stats).unwrap();
+        let mut ticker = BudgetTicker::inert();
+        let c = max_clique_containing(&g, 0, Some(&allowed), 0, &mut stats, &mut ticker).unwrap();
         assert_eq!(c, vec![0, 1, 2, 3]);
     }
 
@@ -486,10 +440,11 @@ mod tests {
     fn lower_bound_floor_suppresses_small_cliques() {
         let g = path(4);
         let mut stats = CliqueStats::default();
+        let mut ticker = BudgetTicker::inert();
         // Max clique containing 0 has size 2; floor 3 cannot be beaten.
-        assert!(max_clique_containing(&g, 0, None, 3, &mut stats).is_none());
+        assert!(max_clique_containing(&g, 0, None, 3, &mut stats, &mut ticker).is_none());
         // Floor 1 is beaten by the edge {0, 1}.
-        let c = max_clique_containing(&g, 0, None, 1, &mut stats).unwrap();
+        let c = max_clique_containing(&g, 0, None, 1, &mut stats, &mut ticker).unwrap();
         assert_eq!(c, vec![0, 1]);
     }
 
@@ -497,8 +452,9 @@ mod tests {
     fn isolated_seed() {
         let g = Graph::from_edges(3, [(0, 1)]);
         let mut stats = CliqueStats::default();
-        let c = max_clique_containing(&g, 2, None, 0, &mut stats).unwrap();
+        let mut ticker = BudgetTicker::inert();
+        let c = max_clique_containing(&g, 2, None, 0, &mut stats, &mut ticker).unwrap();
         assert_eq!(c, vec![2]);
-        assert!(max_clique_containing(&g, 2, None, 1, &mut stats).is_none());
+        assert!(max_clique_containing(&g, 2, None, 1, &mut stats, &mut ticker).is_none());
     }
 }

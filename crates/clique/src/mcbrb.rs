@@ -9,16 +9,14 @@
 //! degeneracy order, branch-and-bound over `u`'s *later* neighbors.
 
 use crate::bnb::{
-    max_clique_containing_budgeted, record_clique_stats, valid_clique, CliqueRun, CliqueStats,
+    max_clique_containing, record_clique_stats, valid_clique, CliqueRun, CliqueStats,
 };
 use crate::heuristic::heuristic_clique;
 use nsky_graph::degeneracy::core_decomposition;
 use nsky_graph::{Graph, VertexId};
 use nsky_skyline::budget::{Completion, ExecutionBudget};
 use nsky_skyline::exec::{self, ExecutionContext};
-use nsky_skyline::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
+use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 
 /// Exact maximum clique (the paper's `MC-BRB` comparison point).
 ///
@@ -67,16 +65,6 @@ pub fn mc_brb_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> ResumableRun<Cl
     run
 }
 
-/// Deprecated twin: use [`mc_brb_with`] with a recorder-armed context.
-pub fn mc_brb_recorded(g: &Graph, rec: &dyn nsky_skyline::obs::Recorder) -> CliqueRun {
-    mc_brb_with(g, &mut ExecutionContext::new().recorder(rec)).outcome
-}
-
-/// Deprecated twin: use [`mc_brb_with`] with a budget-armed context.
-pub fn mc_brb_budgeted(g: &Graph, budget: &ExecutionBudget) -> CliqueRun {
-    mc_brb_with(g, &mut ExecutionContext::new().budget(budget)).outcome
-}
-
 /// Resume state of an interrupted [`mc_brb`] run: the best clique found
 /// so far plus the index (into the degeneracy order) of the next root to
 /// search. The `later` exclusion mask is a pure function of the cursor
@@ -114,24 +102,6 @@ impl KernelState for McBrbState {
             cursor: r.take_usize()?,
         })
     }
-}
-
-/// Deprecated twin: use [`mc_brb_with`] with a context arming budget,
-/// resume and checkpoint sink together (see `nsky_skyline::snapshot`
-/// for the contract).
-pub fn mc_brb_resumable<'a>(
-    g: &Graph,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<CliqueRun> {
-    mc_brb_with(
-        g,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
 }
 
 fn mcbrb_leg(g: &Graph, budget: &ExecutionBudget, state: McBrbState) -> (CliqueRun, McBrbState) {
@@ -195,14 +165,9 @@ fn mcbrb_leg(g: &Graph, budget: &ExecutionBudget, state: McBrbState) -> (CliqueR
             continue; // core reduction
         }
         let allowed: Vec<bool> = g.vertices().map(|v| !later[v as usize]).collect();
-        if let Some(c) = max_clique_containing_budgeted(
-            g,
-            u,
-            Some(&allowed),
-            best.len(),
-            &mut stats,
-            &mut ticker,
-        ) {
+        if let Some(c) =
+            max_clique_containing(g, u, Some(&allowed), best.len(), &mut stats, &mut ticker)
+        {
             best = c;
         }
         let status = ticker.status();

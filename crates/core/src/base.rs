@@ -16,11 +16,9 @@
 
 use crate::budget::{Completion, ExecutionBudget};
 use crate::exec::{self, ExecutionContext};
-use crate::obs::{record_skyline_stats, Recorder};
+use crate::obs::record_skyline_stats;
 use crate::result::{SkylineResult, SkylineStats};
-use crate::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
+use crate::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 use nsky_graph::{Graph, VertexId};
 
 /// How the counting scan terminates once a vertex is resolved.
@@ -104,18 +102,6 @@ pub fn base_sky_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> ResumableRun<
     run
 }
 
-/// Deprecated twin: use [`base_sky_with`] with a recorder-armed context.
-pub fn base_sky_recorded(g: &Graph, rec: &dyn Recorder) -> SkylineResult {
-    base_sky_with(g, &mut ExecutionContext::new().recorder(rec)).outcome
-}
-
-/// Deprecated twin: use [`base_sky_with`] with a budget-armed context.
-/// With an unlimited budget the output is byte-identical to
-/// [`base_sky`]; after a trip the result is the sound verified prefix.
-pub fn base_sky_budgeted(g: &Graph, budget: &ExecutionBudget) -> SkylineResult {
-    base_sky_with(g, &mut ExecutionContext::new().budget(budget)).outcome
-}
-
 /// Resume state of an interrupted [`base_sky`] run: the dominator array
 /// as it stood before the first unfinished scan, plus that scan's vertex
 /// (the cursor). An in-progress scan's dominator writes are rolled back
@@ -151,24 +137,6 @@ impl KernelState for BaseSkyState {
             cursor: r.take_u32()?,
         })
     }
-}
-
-/// Deprecated twin: use [`base_sky_with`] with a context arming budget,
-/// resume and checkpoint sink together. Trip → snapshot → resume is
-/// byte-identical to the uninterrupted run (`tests/snapshot_faults.rs`).
-pub fn base_sky_resumable<'a>(
-    g: &Graph,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<SkylineResult> {
-    base_sky_with(
-        g,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
 }
 
 fn base_sky_impl(g: &Graph, mode: ScanMode, budget: &ExecutionBudget) -> SkylineResult {

@@ -33,11 +33,13 @@
 //! ```
 //! use nsky_graph::generators::chung_lu_power_law;
 //! use nsky_skyline::budget::{Completion, ExecutionBudget, TripClock};
-//! use nsky_skyline::{base_sky_budgeted, filter_refine_sky_budgeted, RefineConfig};
+//! use nsky_skyline::{base_sky_with, filter_refine_sky_with, ExecutionContext, RefineConfig};
 //!
 //! let g = chung_lu_power_law(300, 2.8, 5.0, 1);
 //! // Unlimited budget: identical to the open-loop algorithms.
-//! let full = filter_refine_sky_budgeted(&g, &RefineConfig::default(), &ExecutionBudget::unlimited());
+//! let unlimited = ExecutionBudget::unlimited();
+//! let mut ctx = ExecutionContext::new().budget(&unlimited);
+//! let full = filter_refine_sky_with(&g, &RefineConfig::default(), &mut ctx).outcome;
 //! assert_eq!(full.completion, Completion::Complete);
 //!
 //! // A clock tripped deterministically at the 5th poll: the kernel
@@ -45,7 +47,7 @@
 //! let budget = ExecutionBudget::unlimited()
 //!     .deadline(TripClock::at_poll(5))
 //!     .check_interval(1);
-//! let partial = base_sky_budgeted(&g, &budget);
+//! let partial = base_sky_with(&g, &mut ExecutionContext::new().budget(&budget)).outcome;
 //! assert_eq!(partial.completion, Completion::DeadlineExceeded);
 //! assert!(partial.skyline.len() <= full.skyline.len());
 //! ```
@@ -289,9 +291,9 @@ pub const DEFAULT_CHECK_INTERVAL: u32 = 8192;
 /// cancellation, and the sticky trip status.
 ///
 /// The default [`ExecutionBudget::unlimited`] budget is inert: tickers
-/// derived from it never poll anything, so wrapping an algorithm in the
-/// budgeted entry point with an unlimited budget produces byte-identical
-/// results at indistinguishable cost.
+/// derived from it never poll anything, so running a kernel's `*_with`
+/// entry point under an unlimited budget produces byte-identical results
+/// at indistinguishable cost.
 #[derive(Default)]
 pub struct ExecutionBudget {
     clock: Option<Box<dyn DeadlineClock>>,

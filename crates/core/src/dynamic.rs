@@ -75,7 +75,8 @@ pub struct BatchStats {
     pub scoped_refines: u64,
 }
 
-/// Result of [`MutableSkyline::apply_batch`] (and its twins).
+/// Result of [`MutableSkyline::apply_batch`] and
+/// [`MutableSkyline::apply_batch_with`].
 #[derive(Clone, Debug)]
 pub struct UpdateOutcome {
     /// The exact skyline of the graph after the committed prefix,
@@ -244,9 +245,10 @@ fn recompute_vertex(
 /// Neighborhood skyline of a graph under an edge-delta stream.
 ///
 /// The engine owns its graph: construct it with [`MutableSkyline::new`]
-/// and mutate through [`MutableSkyline::apply_batch`] (or the budgeted
-/// / recorded / context-composed twins). Between calls the skyline and
-/// witness array are exact for the current graph.
+/// and mutate through [`MutableSkyline::apply_batch`] (or
+/// [`MutableSkyline::apply_batch_with`] under an [`ExecutionContext`]).
+/// Between calls the skyline and witness array are exact for the
+/// current graph.
 ///
 /// Batches are validated up front ([`validate_batch`]) and panic on
 /// structurally invalid deltas *before* any mutation — callers wanting
@@ -349,29 +351,6 @@ impl MutableSkyline {
     /// Applies a delta batch and repairs the skyline (uninstrumented).
     pub fn apply_batch(&mut self, deltas: &[EdgeDelta]) -> UpdateOutcome {
         self.apply_batch_with(deltas, &mut ExecutionContext::new())
-            .outcome
-    }
-
-    /// Deprecated twin: [`MutableSkyline::apply_batch_with`] with a
-    /// budget-armed context. After a trip the outcome is the exact
-    /// skyline of the committed prefix.
-    pub fn apply_batch_budgeted(
-        &mut self,
-        deltas: &[EdgeDelta],
-        budget: &ExecutionBudget,
-    ) -> UpdateOutcome {
-        self.apply_batch_with(deltas, &mut ExecutionContext::new().budget(budget))
-            .outcome
-    }
-
-    /// Deprecated twin: [`MutableSkyline::apply_batch_with`] with a
-    /// recorder-armed context.
-    pub fn apply_batch_recorded(
-        &mut self,
-        deltas: &[EdgeDelta],
-        rec: &dyn Recorder,
-    ) -> UpdateOutcome {
-        self.apply_batch_with(deltas, &mut ExecutionContext::new().recorder(rec))
             .outcome
     }
 
@@ -676,7 +655,9 @@ mod tests {
         let mut engine = MutableSkyline::new(g);
         let before = engine.dominator().to_vec();
         let rec = CountingRecorder::new();
-        let out = engine.apply_batch_recorded(&[], &rec);
+        let out = engine
+            .apply_batch_with(&[], &mut ExecutionContext::new().recorder(&rec))
+            .outcome;
         assert!(out.is_complete());
         assert_eq!(engine.dominator(), before.as_slice());
         assert_eq!(out.stats, BatchStats::default());
@@ -775,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn twins_agree_with_the_base_entry_point() {
+    fn armed_contexts_agree_with_the_base_entry_point() {
         let g = erdos_renyi(50, 0.1, 4);
         let mut rng = SplitMix64::new(77);
         let batch: Vec<EdgeDelta> = (0..25).map(|_| random_delta(&mut rng, 50)).collect();
@@ -784,8 +765,13 @@ mod tests {
         let mut c = MutableSkyline::new(g);
         let rec = CountingRecorder::new();
         let out_a = a.apply_batch(&batch);
-        let out_b = b.apply_batch_budgeted(&batch, &ExecutionBudget::unlimited());
-        let out_c = c.apply_batch_recorded(&batch, &rec);
+        let budget = ExecutionBudget::unlimited();
+        let out_b = b
+            .apply_batch_with(&batch, &mut ExecutionContext::new().budget(&budget))
+            .outcome;
+        let out_c = c
+            .apply_batch_with(&batch, &mut ExecutionContext::new().recorder(&rec))
+            .outcome;
         assert_eq!(out_a.skyline, out_b.skyline);
         assert_eq!(out_a.skyline, out_c.skyline);
         assert_eq!(rec.value(Counter::DeltasApplied), out_a.stats.applied);

@@ -1,20 +1,16 @@
 //! One execution context per kernel.
 //!
-//! PRs 2–4 grew every kernel three parallel entry-point families —
-//! `*_budgeted` (anytime execution under an [`ExecutionBudget`]),
-//! `*_resumable` (crash-safe checkpoint/resume through the
-//! [`crate::snapshot`] container) and `*_recorded` (bulk-flush
-//! observability through a [`Recorder`]) — which meant no caller could
-//! compose the capabilities: a run could be budgeted *or* recorded, but
-//! not budgeted, recorded, checkpointed and cancellable at once, which
-//! is exactly the regime a long-lived server lives in.
+//! Anytime execution under an [`ExecutionBudget`], crash-safe
+//! checkpoint/resume through the [`crate::snapshot`] container and
+//! bulk-flush observability through a [`Recorder`] must compose: a
+//! long-lived server runs kernels budgeted, recorded, checkpointed and
+//! cancellable at once.
 //!
-//! [`ExecutionContext`] collapses the families. It composes the four
-//! infrastructure carriers — budget (deadline + memory + cancel),
-//! checkpoint resume source, checkpoint sink, recorder — each
-//! defaulting to a no-op, and every kernel exposes exactly one
-//! `*_with(ctx)` entry point threaded through the one generic
-//! [`drive`] poll loop:
+//! [`ExecutionContext`] composes the four infrastructure carriers —
+//! budget (deadline + memory + cancel), checkpoint resume source,
+//! checkpoint sink, recorder — each defaulting to a no-op, and every
+//! kernel exposes exactly one `*_with(ctx)` entry point threaded
+//! through the one generic [`drive`] poll loop:
 //!
 //! ```text
 //!              ExecutionContext
@@ -37,10 +33,8 @@
 //!              └───────────────────────────────────────────┘
 //! ```
 //!
-//! The old twins survive as one-line shims onto the `*_with` entry
-//! points (enforced by xtask rule R16), so the three families now
-//! *cannot* drift: there is exactly one poll loop, one resume path and
-//! one recorder flush per kernel, and the composed fault matrix
+//! There is exactly one poll loop, one resume path and one recorder
+//! flush per kernel, and the composed fault matrix
 //! (`tests/tests/fault_matrix.rs`) exercises every kernel under every
 //! single fault and every pairwise fault combination through it.
 

@@ -5,12 +5,10 @@
 use crate::budget::{BudgetTicker, ExecutionBudget};
 use crate::exec::{self, ExecutionContext};
 use crate::filter_phase::filter_phase;
-use crate::obs::{record_skyline_stats, Recorder};
+use crate::obs::record_skyline_stats;
 use crate::refine::RefineConfig;
 use crate::result::{SkylineResult, SkylineStats};
-use crate::snapshot::{
-    Checkpointer, KernelId, KernelState, Reader, RecoveryError, ResumableRun, Snapshot, Writer,
-};
+use crate::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 use nsky_bloom::{BloomConfig, NeighborhoodFilters};
 use nsky_graph::{Graph, VertexId};
 
@@ -109,36 +107,6 @@ pub fn filter_refine_sky_par_with(
     run
 }
 
-/// Deprecated twin: use [`filter_refine_sky_par_with`] with a
-/// budget-armed context.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn filter_refine_sky_par_budgeted(
-    g: &Graph,
-    cfg: &RefineConfig,
-    threads: usize,
-    budget: &ExecutionBudget,
-) -> SkylineResult {
-    filter_refine_sky_par_with(g, cfg, threads, &mut ExecutionContext::new().budget(budget)).outcome
-}
-
-/// Deprecated twin: use [`filter_refine_sky_par_with`] with a
-/// recorder-armed context.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn filter_refine_sky_par_recorded(
-    g: &Graph,
-    cfg: &RefineConfig,
-    threads: usize,
-    rec: &dyn Recorder,
-) -> SkylineResult {
-    filter_refine_sky_par_with(g, cfg, threads, &mut ExecutionContext::new().recorder(rec)).outcome
-}
-
 /// Resume state of an interrupted [`filter_refine_sky_par`] run: one
 /// verdict per filter-phase candidate. Each verdict is a pure function
 /// of the graph, config and candidate ([`refine_one`] reads no shared
@@ -177,32 +145,6 @@ impl KernelState for ParState {
             verdicts: r.take_u32_vec()?,
         })
     }
-}
-
-/// Deprecated twin: use [`filter_refine_sky_par_with`] with a context
-/// arming budget, resume and checkpoint sink together (see
-/// [`crate::snapshot`] for the contract).
-///
-/// # Panics
-///
-/// Panics if `threads == 0`.
-pub fn filter_refine_sky_par_resumable<'a>(
-    g: &Graph,
-    cfg: &RefineConfig,
-    threads: usize,
-    budget: &'a ExecutionBudget,
-    resume: Option<&'a Snapshot>,
-    sink: Option<&'a mut dyn Checkpointer>,
-) -> ResumableRun<SkylineResult> {
-    filter_refine_sky_par_with(
-        g,
-        cfg,
-        threads,
-        &mut ExecutionContext::new()
-            .budget(budget)
-            .resume(resume)
-            .checkpoint(sink),
-    )
 }
 
 fn parallel_leg(

@@ -2,13 +2,14 @@
 //!
 //! PR 2 made the kernels *anytime*: a tripped budget returns a sound
 //! partial result — and then throws it away. This module makes that
-//! partial progress durable. Each kernel exposes a `*_resumable` entry
-//! point that accepts an optional [`Snapshot`], periodically checkpoints
-//! through the existing [`crate::budget::BudgetTicker`] poll sites (the
-//! budget trips with [`Completion::CheckpointDue`], the kernel unwinds
-//! exactly as for a real trip, and the driver persists the state and
-//! re-enters), and — on a real trip — returns a final snapshot the
-//! caller can persist for a later resume.
+//! partial progress durable. Each kernel's `*_with` entry point accepts
+//! an optional [`Snapshot`] through its [`crate::exec::ExecutionContext`],
+//! periodically checkpoints through the existing
+//! [`crate::budget::BudgetTicker`] poll sites (the budget trips with
+//! [`Completion::CheckpointDue`], the kernel unwinds exactly as for a
+//! real trip, and the drive loop persists the state and re-enters), and
+//! — on a real trip — returns a final snapshot the caller can persist
+//! for a later resume.
 //!
 //! # Wire format
 //!
@@ -33,7 +34,7 @@
 //! torn, flipped or foreign input with a typed [`RecoveryError`]
 //! (truncation outranks checksum, checksum outranks version, so a bit
 //! flip in the version field reports [`RecoveryError::ChecksumMismatch`]
-//! rather than masquerading as a future format). The `*_resumable` entry
+//! rather than masquerading as a future format). The `*_with` entry
 //! points degrade every unusable snapshot to a clean from-scratch run
 //! and surface the error in [`ResumableRun::recovery`] — never a panic,
 //! never a wrong answer. The acceptance bar is equivalence: trip →
@@ -638,7 +639,7 @@ impl Checkpointer for FileCheckpointer {
     }
 }
 
-/// What a `*_resumable` entry point returns: the kernel outcome, the
+/// What a `*_with` entry point returns: the kernel outcome, the
 /// final snapshot when the run ended on a real trip (resume it later),
 /// and the recovery error when a provided snapshot was unusable and the
 /// run degraded to a clean from-scratch start.

@@ -2,7 +2,7 @@
 //! plus a module-private helper R9 never looks at.
 
 /// Paper-faithful scan kept deliberately free of instrumentation.
-// nsky-lint: allow(obs-instrumented) — measured through its recorded twin in refine.rs
+// nsky-lint: allow(obs-instrumented) — measured through `refine_sky_with` in refine.rs
 pub fn base_sky(xs: &[u32]) -> u32 {
     xs.first().copied().unwrap_or(0)
 }

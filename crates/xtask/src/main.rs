@@ -3,21 +3,18 @@
 //! ```text
 //! cargo run -p nsky-xtask -- lint [--json] [--rule <rN|name>] [--root <path>]
 //! cargo run -p nsky-xtask -- api [--check | --bless] [--root <path>]
-//! cargo run -p nsky-xtask -- twins [--check | --bless] [--root <path>]
 //! cargo run -p nsky-xtask -- locks [--check | --bless] [--root <path>]
 //! ```
 //!
-//! `lint` runs the repo-specific policy rules R1–R20 (DESIGN.md §8)
-//! against the workspace and exits non-zero if any violation is found;
+//! `lint` runs the repo-specific policy rules R1–R15 and R17–R20
+//! (DESIGN.md §8; R16 is retired) against the workspace and exits
+//! non-zero if any violation is found;
 //! `--rule` restricts the run to one rule for fast local iteration and
 //! `--json` emits the findings as a checksum-trailed `RunReport`
 //! (schema-versioned, drift-stable: findings sorted by file/line/rule).
 //! `api` prints each library crate's public surface; `api --check`
 //! fails on drift from the committed `api/<crate>.surface` baselines
 //! and `api --bless` regenerates them (the intentional-change flow).
-//! `twins` prints the R16 per-kernel twin-count report; `--check` diffs
-//! it against the committed `api/twins.report` baseline so entry-point
-//! growth fails loudly, `--bless` regenerates the baseline.
 //! `locks` prints the R17 lock landscape (declared mutexes, condvar
 //! pairings, acquired-while-holding order edges); `--check` diffs it
 //! against the committed `api/locks.report` baseline so any new lock or
@@ -29,14 +26,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use nsky_skyline::{Completion, RunReport};
-use nsky_xtask::{lint_workspace, locks_report, surface, twin_report, Rule, Violation};
+use nsky_xtask::{lint_workspace, locks_report, surface, Rule, Violation};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
         Some("api") => api(&args[1..]),
-        Some("twins") => twins(&args[1..]),
         Some("locks") => locks(&args[1..]),
         Some(other) => {
             eprintln!("unknown command `{other}`");
@@ -53,7 +49,6 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!("usage: cargo run -p nsky-xtask -- lint [--json] [--rule <rN|name>] [--root <path>]");
     eprintln!("       cargo run -p nsky-xtask -- api [--check | --bless] [--root <path>]");
-    eprintln!("       cargo run -p nsky-xtask -- twins [--check | --bless] [--root <path>]");
     eprintln!("       cargo run -p nsky-xtask -- locks [--check | --bless] [--root <path>]");
     eprintln!("rules: {}", rule_list());
 }
@@ -139,9 +134,10 @@ fn lint(args: &[String]) -> ExitCode {
         {
             Some(r) => Some(r),
             None => {
+                let codes: Vec<&str> = Rule::all().iter().map(|r| r.code()).collect();
                 eprintln!(
-                    "unknown rule `{v}` (expected r1..r{} or a rule name)",
-                    Rule::all().len()
+                    "unknown rule `{v}` (expected a rule code — {} — or a rule name)",
+                    codes.join(", ")
                 );
                 return ExitCode::from(2);
             }
@@ -181,63 +177,6 @@ fn lint(args: &[String]) -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// The `twins` subcommand: print, check or bless the R16 twin-count
-/// report (baseline at `api/twins.report`).
-fn twins(args: &[String]) -> ExitCode {
-    let (root, flags, _) = match parse_args(args, &["--check", "--bless"], &[]) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let report = match twin_report(&root) {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("nsky-xtask twins: I/O error: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let baseline_path = root.join("api").join("twins.report");
-    if flags.iter().any(|f| f == "--bless") {
-        if let Err(err) = std::fs::write(&baseline_path, &report) {
-            eprintln!("nsky-xtask twins: I/O error: {err}");
-            return ExitCode::from(2);
-        }
-        println!("nsky-xtask twins: blessed {}", baseline_path.display());
-        return ExitCode::SUCCESS;
-    }
-    if flags.iter().any(|f| f == "--check") {
-        let baseline = std::fs::read_to_string(&baseline_path).unwrap_or_default();
-        if baseline == report {
-            println!(
-                "nsky-xtask twins: report matches baseline ({} famil{})",
-                report.lines().count(),
-                if report.lines().count() == 1 {
-                    "y"
-                } else {
-                    "ies"
-                }
-            );
-            return ExitCode::SUCCESS;
-        }
-        for line in report.lines() {
-            if !baseline.lines().any(|b| b == line) {
-                println!("+ {line}");
-            }
-        }
-        for line in baseline.lines() {
-            if !report.lines().any(|r| r == line) {
-                println!("- {line}");
-            }
-        }
-        println!(
-            "nsky-xtask twins: report drifts from {} (run `cargo xtask twins --bless` if the change is intentional)",
-            baseline_path.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    print!("{report}");
-    ExitCode::SUCCESS
 }
 
 /// The `locks` subcommand: print, check or bless the R17 lock-landscape

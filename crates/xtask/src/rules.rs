@@ -10,7 +10,7 @@
 use std::path::Path;
 
 use crate::items::{Item, ItemKind, Visibility};
-use crate::lex::Token;
+use crate::lex::{lex, Token};
 use crate::manifest::{is_path_dep, is_workspace_ref, Manifest};
 use crate::source::SourceFile;
 use crate::{library_src_dirs, rel, rust_files, Rule, Violation, LIBRARY_CRATES};
@@ -424,9 +424,10 @@ const OBS_MODULES: &[&str] = &[
 
 /// R9 `obs-instrumented`: every kernel module with public entry points
 /// must have at least one non-test `pub fn` that mentions a `Recorder`
-/// (the observability hook), or carry a justified suppression on its
-/// first public function. One violation per module — the fix is one new
-/// `*_recorded` entry point, not one per function.
+/// or takes an `ExecutionContext` (whose recorder slot is the
+/// observability hook), or carry a justified suppression on its first
+/// public function. One violation per module — the fix is one
+/// context-taking entry point, not one per function.
 pub(crate) fn check_obs_instrumented(root: &Path) -> std::io::Result<Vec<Violation>> {
     let mut out = Vec::new();
     for module in OBS_MODULES {
@@ -444,16 +445,19 @@ pub(crate) fn check_obs_instrumented(root: &Path) -> std::io::Result<Vec<Violati
         let Some(first) = pub_fns.first() else {
             continue;
         };
-        let instrumented = pub_fns
-            .iter()
-            .any(|i| span_tokens(&file, i).any(|t| t.is_ident("Recorder")));
+        let instrumented = pub_fns.iter().any(|i| {
+            span_tokens(&file, i).any(|t| t.is_ident("Recorder"))
+                || i.params
+                    .iter()
+                    .any(|(_, ty)| lex(ty).iter().any(|t| t.is_ident("ExecutionContext")))
+        });
         if !instrumented && !file.is_suppressed(Rule::ObsInstrumented, first.line) {
             out.push(Violation {
                 file: rel(root, &path),
                 line: first.line,
                 rule: Rule::ObsInstrumented,
                 message: format!(
-                    "kernel module `{module}` exposes no observability-instrumented public entry point (add a `*_recorded` fn taking a `Recorder`, or justify a suppression)"
+                    "kernel module `{module}` exposes no observability-instrumented public entry point (add a `*_with` fn taking an `ExecutionContext` or a `Recorder`, or justify a suppression)"
                 ),
             });
         }

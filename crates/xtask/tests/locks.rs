@@ -132,8 +132,8 @@ fn lint_json_carries_lock_order_counters() {
     assert!(nsky_skyline::RunReport::from_json(&flipped).is_err());
 }
 
-/// `lint --rule` addresses the new rules by name and by positional
-/// code (r17–r20 by position in `Rule::all()`).
+/// `lint --rule` addresses the new rules by name and by their fixed
+/// codes r17–r20.
 #[test]
 fn lint_rule_filter_addresses_the_new_rules() {
     let bin = env!("CARGO_BIN_EXE_nsky-xtask");

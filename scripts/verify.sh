@@ -24,10 +24,6 @@ step cargo run -q -p nsky-xtask -- lint
 step cargo run -q -p nsky-xtask -- api --check
 step cargo build --release
 step cargo test -q
-# Twin-coherence report gate: the per-kernel twin census must match the
-# committed api/twins.report baseline (regenerate intentional changes
-# with `cargo xtask twins --bless` and commit the diff).
-step cargo run -q -p nsky-xtask -- twins --check
 # Lock-landscape gate: the per-crate mutex/condvar census and the
 # acquired-while-holding order edges must match the committed
 # api/locks.report baseline (regenerate intentional changes with
@@ -45,21 +41,23 @@ step cargo test -q -p nsky-xtask --test callgraph
 # the `locks` CLI, the r17–r20 fixture landscapes, and the `lint --json`
 # counters for the four concurrency rules.
 step cargo test -q -p nsky-xtask --test locks
-# Crash-safety gate, run by name so a test-harness filter can never
-# silently drop it: every kernel killed at every poll point must resume
-# to the uninterrupted answer, and every corrupt checkpoint must be
-# rejected with a typed error.
+# Storage-corruption gate, run by name so a test-harness filter can
+# never silently drop it: every torn, bit-flipped, short-written or
+# out-of-space checkpoint image must be rejected with a typed error.
+# (The kill-at-every-poll-point resume sweeps live in fault_matrix.)
 step cargo test -q -p nsky-integration --test snapshot_faults
 # Observability gate, likewise run by name: every counter the kernels
-# flush must satisfy the accounting identities, NoopRecorder twins must
-# match their uninstrumented entry points field-for-field, and the JSON
-# run report must reject truncated/bit-flipped payloads.
+# flush must satisfy the accounting identities, runs under a
+# NoopRecorder must match their uninstrumented entry points
+# field-for-field, and the JSON run report must reject
+# truncated/bit-flipped payloads.
 step cargo test -q -p nsky-integration --test obs_invariants
 # Composed-fault gate, likewise run by name: every kernel driven through
 # its single `*_with(ctx)` entry point must survive every single fault
 # and every pairwise fault combination (deadline, memory cap, cancel,
 # checkpoint, damaged resume) with sound partial answers, graceful
-# degradation of unusable checkpoints, and byte-identical no-fault runs.
+# degradation of unusable checkpoints, and byte-identical no-fault runs;
+# killed at every poll point, it must resume to the uninterrupted answer.
 step cargo test -q -p nsky-integration --test fault_matrix
 # Dynamic-maintenance gate, likewise run by name: the incremental
 # engine must agree with a from-scratch recompute after every single
@@ -77,6 +75,11 @@ step cargo test -q -p nsky-integration --test server_faults
 # end to end with a fault mix and exit zero (healthy requests all
 # succeed) even in quick mode.
 step env NSKY_QUICK=1 cargo run -q --release -p nsky-server --bin nsky-loadgen -- --fault-mix 10
+# Serving-benchmark self-tests: servebench is its own workspace, so the
+# tier above never builds it. Running its tests here means a crate API
+# change that breaks the benchmark fails verification, not the
+# benchmark run.
+step cargo test -q --offline --manifest-path servebench/Cargo.toml
 
 echo
 echo "verify: all gates passed"

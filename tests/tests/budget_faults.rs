@@ -2,30 +2,35 @@
 //! every instrumented kernel, tripped at an exact poll via
 //! [`TripClock`], must stop within one check interval, report the right
 //! [`Completion`], return a *valid* partial answer, and never panic.
-//! With an unlimited budget every budgeted entry point must be
-//! byte-identical to its open-loop twin.
+//! Byte-identity under an unlimited budget is asserted by every
+//! `fault_matrix.rs` calibration run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use nsky_centrality::greedy::{greedy_group, greedy_group_budgeted, GreedyOptions};
+use nsky_centrality::greedy::{greedy_group, greedy_group_with, GreedyOptions};
 use nsky_centrality::measure::{Closeness, Harmonic};
-use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_budgeted};
+use nsky_centrality::neisky::nei_sky_group_with;
 use nsky_clique::{
-    is_clique, max_clique_bnb, max_clique_bnb_budgeted, mc_brb, mc_brb_budgeted, nei_sky_mc,
-    nei_sky_mc_budgeted, top_k_cliques, top_k_cliques_budgeted, TopkMode,
+    is_clique, max_clique_bnb_with, mc_brb_with, nei_sky_mc_with, top_k_cliques,
+    top_k_cliques_with, TopkMode,
 };
 use nsky_graph::generators::chung_lu_power_law;
 use nsky_graph::Graph;
 use nsky_skyline::budget::{CancelToken, Completion, DeadlineClock, ExecutionBudget, TripClock};
 use nsky_skyline::{
-    base_sky, base_sky_budgeted, filter_refine_sky, filter_refine_sky_budgeted,
-    filter_refine_sky_par, filter_refine_sky_par_budgeted, RefineConfig,
+    base_sky, base_sky_with, filter_refine_sky, filter_refine_sky_par_with, filter_refine_sky_with,
+    ExecutionContext, RefineConfig,
 };
 
 fn graph(seed: u64) -> Graph {
     chung_lu_power_law(300, 2.8, 5.0, seed)
+}
+
+/// A context armed with `budget` and nothing else.
+fn ctx(budget: &ExecutionBudget) -> ExecutionContext<'_> {
+    ExecutionContext::new().budget(budget)
 }
 
 /// A budget with a deterministic clock tripping on poll `k` (and a
@@ -59,73 +64,15 @@ fn trip_points(total: u64) -> [u64; 3] {
 }
 
 #[test]
-fn unlimited_budget_is_byte_identical_everywhere() {
-    for seed in 0..3 {
-        let g = graph(seed);
-        let unlimited = ExecutionBudget::unlimited;
-        let cfg = RefineConfig::default();
-
-        let open = base_sky(&g);
-        let budgeted = base_sky_budgeted(&g, &unlimited());
-        assert_eq!(open.skyline, budgeted.skyline);
-        assert_eq!(budgeted.completion, Completion::Complete);
-
-        let open = filter_refine_sky(&g, &cfg);
-        let budgeted = filter_refine_sky_budgeted(&g, &cfg, &unlimited());
-        assert_eq!(open.skyline, budgeted.skyline);
-        assert_eq!(budgeted.completion, Completion::Complete);
-
-        let open = filter_refine_sky_par(&g, &cfg, 3);
-        let budgeted = filter_refine_sky_par_budgeted(&g, &cfg, 3, &unlimited());
-        assert_eq!(open.skyline, budgeted.skyline);
-        assert_eq!(budgeted.completion, Completion::Complete);
-
-        let (open, _) = max_clique_bnb(&g);
-        let budgeted = max_clique_bnb_budgeted(&g, &unlimited());
-        assert_eq!(open, budgeted.clique);
-        assert_eq!(budgeted.completion, Completion::Complete);
-
-        let (open, _) = mc_brb(&g);
-        let budgeted = mc_brb_budgeted(&g, &unlimited());
-        assert_eq!(open, budgeted.clique);
-        assert_eq!(budgeted.completion, Completion::Complete);
-
-        let open = nei_sky_mc(&g);
-        let budgeted = nei_sky_mc_budgeted(&g, &unlimited());
-        assert_eq!(open.clique, budgeted.clique);
-        assert_eq!(budgeted.completion, Completion::Complete);
-
-        for mode in [TopkMode::Base, TopkMode::NeiSky] {
-            let open = top_k_cliques(&g, 3, mode);
-            let budgeted = top_k_cliques_budgeted(&g, 3, mode, &unlimited());
-            assert_eq!(open.cliques, budgeted.cliques);
-            assert_eq!(budgeted.completion, Completion::Complete);
-        }
-
-        for opts in [GreedyOptions::default(), GreedyOptions::optimized()] {
-            let open = greedy_group(&g, Harmonic, 4, &opts);
-            let budgeted = greedy_group_budgeted(&g, Harmonic, 4, &opts, &unlimited());
-            assert_eq!(open.group, budgeted.group);
-            assert_eq!(budgeted.completion, Completion::Complete);
-        }
-
-        let open = nei_sky_group(&g, Closeness, 4, true);
-        let budgeted = nei_sky_group_budgeted(&g, Closeness, 4, true, &unlimited());
-        assert_eq!(open.greedy.group, budgeted.greedy.group);
-        assert_eq!(budgeted.greedy.completion, Completion::Complete);
-    }
-}
-
-#[test]
 fn base_sky_trips_at_exact_poll_with_sound_prefix() {
     let g = graph(1);
     let full = base_sky(&g);
     let total = calibrate(|b| {
-        base_sky_budgeted(&g, b);
+        base_sky_with(&g, &mut ctx(b));
     });
     for k in trip_points(total) {
         let (budget, clock) = trip_budget(k);
-        let partial = base_sky_budgeted(&g, &budget);
+        let partial = base_sky_with(&g, &mut ctx(&budget)).outcome;
         assert_eq!(partial.completion, Completion::DeadlineExceeded, "k={k}");
         // Stops within one tick of the trip: the tripping poll is the
         // clock's last (sticky trips never re-consult the clock).
@@ -145,11 +92,11 @@ fn refine_trips_at_exact_poll_with_sound_prefix() {
     let cfg = RefineConfig::default();
     let full = filter_refine_sky(&g, &cfg);
     let total = calibrate(|b| {
-        filter_refine_sky_budgeted(&g, &cfg, b);
+        filter_refine_sky_with(&g, &cfg, &mut ctx(b));
     });
     for k in trip_points(total) {
         let (budget, clock) = trip_budget(k);
-        let partial = filter_refine_sky_budgeted(&g, &cfg, &budget);
+        let partial = filter_refine_sky_with(&g, &cfg, &mut ctx(&budget)).outcome;
         assert_eq!(partial.completion, Completion::DeadlineExceeded, "k={k}");
         assert_eq!(clock.polls(), k);
         for v in &partial.skyline {
@@ -168,11 +115,11 @@ fn parallel_refine_trips_and_workers_stop_within_one_interval() {
     let full = filter_refine_sky(&g, &cfg);
     let threads = 4;
     let total = calibrate(|b| {
-        filter_refine_sky_par_budgeted(&g, &cfg, threads, b);
+        filter_refine_sky_par_with(&g, &cfg, threads, &mut ctx(b));
     });
     for k in trip_points(total) {
         let (budget, clock) = trip_budget(k);
-        let partial = filter_refine_sky_par_budgeted(&g, &cfg, threads, &budget);
+        let partial = filter_refine_sky_par_with(&g, &cfg, threads, &mut ctx(&budget)).outcome;
         assert_eq!(partial.completion, Completion::DeadlineExceeded);
         // Workers racing the publication of the sticky trip may each
         // land one more clock poll, but never a second.
@@ -192,33 +139,33 @@ fn clique_kernels_trip_with_valid_nonempty_best_so_far() {
     let g = graph(4);
 
     let total = calibrate(|b| {
-        max_clique_bnb_budgeted(&g, b);
+        max_clique_bnb_with(&g, &mut ctx(b));
     });
     for k in trip_points(total) {
         let (budget, clock) = trip_budget(k);
-        let run = max_clique_bnb_budgeted(&g, &budget);
+        let run = max_clique_bnb_with(&g, &mut ctx(&budget)).outcome;
         assert_eq!(run.completion, Completion::DeadlineExceeded, "k={k}");
         assert_eq!(clock.polls(), k);
         assert!(!run.clique.is_empty() && is_clique(&g, &run.clique));
     }
 
     let total = calibrate(|b| {
-        mc_brb_budgeted(&g, b);
+        mc_brb_with(&g, &mut ctx(b));
     });
     for k in trip_points(total) {
         let (budget, clock) = trip_budget(k);
-        let run = mc_brb_budgeted(&g, &budget);
+        let run = mc_brb_with(&g, &mut ctx(&budget)).outcome;
         assert_eq!(run.completion, Completion::DeadlineExceeded, "k={k}");
         assert_eq!(clock.polls(), k);
         assert!(!run.clique.is_empty() && is_clique(&g, &run.clique));
     }
 
     let total = calibrate(|b| {
-        nei_sky_mc_budgeted(&g, b);
+        nei_sky_mc_with(&g, &mut ctx(b));
     });
     for k in trip_points(total) {
         let (budget, clock) = trip_budget(k);
-        let out = nei_sky_mc_budgeted(&g, &budget);
+        let out = nei_sky_mc_with(&g, &mut ctx(&budget)).outcome;
         assert_eq!(out.completion, Completion::DeadlineExceeded, "k={k}");
         assert_eq!(clock.polls(), k);
         assert!(!out.clique.is_empty() && is_clique(&g, &out.clique));
@@ -231,11 +178,11 @@ fn topk_trips_report_only_completed_rounds() {
     for mode in [TopkMode::Base, TopkMode::NeiSky] {
         let full = top_k_cliques(&g, 4, mode);
         let total = calibrate(|b| {
-            top_k_cliques_budgeted(&g, 4, mode, b);
+            top_k_cliques_with(&g, 4, mode, &mut ctx(b));
         });
         for k in trip_points(total) {
             let (budget, clock) = trip_budget(k);
-            let partial = top_k_cliques_budgeted(&g, 4, mode, &budget);
+            let partial = top_k_cliques_with(&g, 4, mode, &mut ctx(&budget)).outcome;
             assert_eq!(partial.completion, Completion::DeadlineExceeded, "{mode:?}");
             assert_eq!(clock.polls(), k, "{mode:?}");
             assert!(partial.cliques.len() <= full.cliques.len());
@@ -253,11 +200,11 @@ fn greedy_trips_keep_the_committed_prefix() {
     for opts in [GreedyOptions::default(), GreedyOptions::optimized()] {
         let full = greedy_group(&g, Harmonic, 6, &opts);
         let total = calibrate(|b| {
-            greedy_group_budgeted(&g, Harmonic, 6, &opts, b);
+            greedy_group_with(&g, Harmonic, 6, &opts, &mut ctx(b));
         });
         for k in trip_points(total) {
             let (budget, clock) = trip_budget(k);
-            let partial = greedy_group_budgeted(&g, Harmonic, 6, &opts, &budget);
+            let partial = greedy_group_with(&g, Harmonic, 6, &opts, &mut ctx(&budget)).outcome;
             assert_eq!(partial.completion, Completion::DeadlineExceeded);
             assert_eq!(clock.polls(), k);
             // The committed prefix is exactly the open-loop greedy's.
@@ -271,11 +218,11 @@ fn greedy_trips_keep_the_committed_prefix() {
 fn neisky_group_shares_one_budget_across_phases() {
     let g = graph(7);
     let total = calibrate(|b| {
-        nei_sky_group_budgeted(&g, Closeness, 4, true, b);
+        nei_sky_group_with(&g, Closeness, 4, true, &mut ctx(b));
     });
     for k in trip_points(total) {
         let (budget, _clock) = trip_budget(k);
-        let out = nei_sky_group_budgeted(&g, Closeness, 4, true, &budget);
+        let out = nei_sky_group_with(&g, Closeness, 4, true, &mut ctx(&budget)).outcome;
         assert_eq!(out.greedy.completion, Completion::DeadlineExceeded, "k={k}");
         assert!(out.greedy.group.len() <= 4);
     }
@@ -288,65 +235,60 @@ fn memory_caps_trip_before_allocating() {
 
     let tiny = || ExecutionBudget::unlimited().memory_cap(64);
     assert_eq!(
-        base_sky_budgeted(&g, &tiny()).completion,
+        base_sky_with(&g, &mut ctx(&tiny())).outcome.completion,
         Completion::MemoryCapped
     );
     assert_eq!(
-        filter_refine_sky_budgeted(&g, &cfg, &tiny()).completion,
+        filter_refine_sky_with(&g, &cfg, &mut ctx(&tiny()))
+            .outcome
+            .completion,
         Completion::MemoryCapped
     );
     assert_eq!(
-        filter_refine_sky_par_budgeted(&g, &cfg, 2, &tiny()).completion,
+        filter_refine_sky_par_with(&g, &cfg, 2, &mut ctx(&tiny()))
+            .outcome
+            .completion,
         Completion::MemoryCapped
     );
     assert_eq!(
-        mc_brb_budgeted(&g, &tiny()).completion,
+        mc_brb_with(&g, &mut ctx(&tiny())).outcome.completion,
         Completion::MemoryCapped
     );
     assert_eq!(
-        greedy_group_budgeted(&g, Harmonic, 3, &GreedyOptions::optimized(), &tiny()).completion,
+        greedy_group_with(
+            &g,
+            Harmonic,
+            3,
+            &GreedyOptions::optimized(),
+            &mut ctx(&tiny())
+        )
+        .outcome
+        .completion,
         Completion::MemoryCapped
     );
 
     // A generous cap never trips and changes nothing.
     let roomy = ExecutionBudget::unlimited().memory_cap(1 << 30);
-    let r = filter_refine_sky_budgeted(&g, &cfg, &roomy);
+    let r = filter_refine_sky_with(&g, &cfg, &mut ctx(&roomy)).outcome;
     assert_eq!(r.completion, Completion::Complete);
     assert_eq!(r.skyline, filter_refine_sky(&g, &cfg).skyline);
     assert!(roomy.charged_bytes() > 0, "refine charges its allocations");
 }
 
 #[test]
-fn pre_cancelled_budget_stops_every_kernel_immediately() {
+fn pre_cancelled_budget_stops_the_parallel_refine_immediately() {
+    // The fault matrix accepts `Complete` from parallel kernels in every
+    // tripping cell (their workers race the trip point), so it cannot
+    // pin this case: a cancel raised before the run must stop the
+    // workers at their first poll.
     let g = graph(9);
     let cfg = RefineConfig::default();
-    let cancelled = || {
-        let b = ExecutionBudget::unlimited().check_interval(1);
-        b.cancel_token().cancel();
-        b
-    };
+    let cancelled = ExecutionBudget::unlimited().check_interval(1);
+    cancelled.cancel_token().cancel();
     assert_eq!(
-        base_sky_budgeted(&g, &cancelled()).completion,
-        Completion::Cancelled
-    );
-    assert_eq!(
-        filter_refine_sky_budgeted(&g, &cfg, &cancelled()).completion,
-        Completion::Cancelled
-    );
-    assert_eq!(
-        filter_refine_sky_par_budgeted(&g, &cfg, 2, &cancelled()).completion,
-        Completion::Cancelled
-    );
-    assert_eq!(
-        mc_brb_budgeted(&g, &cancelled()).completion,
-        Completion::Cancelled
-    );
-    assert_eq!(
-        top_k_cliques_budgeted(&g, 2, TopkMode::NeiSky, &cancelled()).completion,
-        Completion::Cancelled
-    );
-    assert_eq!(
-        greedy_group_budgeted(&g, Harmonic, 3, &GreedyOptions::default(), &cancelled()).completion,
+        filter_refine_sky_par_with(&g, &cfg, 2, &mut ctx(&cancelled))
+            .outcome
+            .completion,
         Completion::Cancelled
     );
 }
@@ -364,7 +306,7 @@ fn cancellation_mid_run_is_observed_cooperatively() {
             std::thread::sleep(Duration::from_millis(2));
             token.cancel();
         });
-        let r = base_sky_budgeted(&g, &budget);
+        let r = base_sky_with(&g, &mut ctx(&budget)).outcome;
         assert!(
             r.completion == Completion::Cancelled || r.completion == Completion::Complete,
             "unexpected status {:?}",
@@ -421,13 +363,13 @@ fn cancel_token_crosses_threads_mid_parallel_run() {
     let full = filter_refine_sky(&g, &cfg);
     let threads = 4;
     let total = calibrate(|b| {
-        filter_refine_sky_par_budgeted(&g, &cfg, threads, b);
+        filter_refine_sky_par_with(&g, &cfg, threads, &mut ctx(b));
     });
     for k in trip_points(total) {
         let budget = ExecutionBudget::unlimited().check_interval(1);
         let clock = Arc::new(CancelAtPoll::at_poll(budget.cancel_token(), k));
         let budget = budget.deadline(Arc::clone(&clock));
-        let partial = filter_refine_sky_par_budgeted(&g, &cfg, threads, &budget);
+        let partial = filter_refine_sky_par_with(&g, &cfg, threads, &mut ctx(&budget)).outcome;
         assert_eq!(partial.completion, Completion::Cancelled, "k={k}");
         // Cancellation is checked *before* the deadline clock, so once a
         // worker sees the flag its polls stop counting: each of the
@@ -448,28 +390,51 @@ fn zero_timeout_trips_every_kernel_without_panicking() {
     let g = graph(11);
     let cfg = RefineConfig::default();
     let zero = || ExecutionBudget::with_timeout(Duration::ZERO).check_interval(1);
-    assert!(!base_sky_budgeted(&g, &zero()).completion.is_complete());
-    assert!(!filter_refine_sky_budgeted(&g, &cfg, &zero())
+    assert!(!base_sky_with(&g, &mut ctx(&zero()))
+        .outcome
         .completion
         .is_complete());
-    assert!(!filter_refine_sky_par_budgeted(&g, &cfg, 3, &zero())
+    assert!(!filter_refine_sky_with(&g, &cfg, &mut ctx(&zero()))
+        .outcome
         .completion
         .is_complete());
-    assert!(!max_clique_bnb_budgeted(&g, &zero())
+    assert!(!filter_refine_sky_par_with(&g, &cfg, 3, &mut ctx(&zero()))
+        .outcome
         .completion
         .is_complete());
-    assert!(!mc_brb_budgeted(&g, &zero()).completion.is_complete());
-    assert!(!nei_sky_mc_budgeted(&g, &zero()).completion.is_complete());
-    assert!(!top_k_cliques_budgeted(&g, 3, TopkMode::Base, &zero())
+    assert!(!max_clique_bnb_with(&g, &mut ctx(&zero()))
+        .outcome
+        .completion
+        .is_complete());
+    assert!(!mc_brb_with(&g, &mut ctx(&zero()))
+        .outcome
+        .completion
+        .is_complete());
+    assert!(!nei_sky_mc_with(&g, &mut ctx(&zero()))
+        .outcome
         .completion
         .is_complete());
     assert!(
-        !greedy_group_budgeted(&g, Closeness, 3, &GreedyOptions::optimized(), &zero())
+        !top_k_cliques_with(&g, 3, TopkMode::Base, &mut ctx(&zero()))
+            .outcome
             .completion
             .is_complete()
     );
-    assert!(!nei_sky_group_budgeted(&g, Harmonic, 3, true, &zero())
-        .greedy
-        .completion
-        .is_complete());
+    assert!(!greedy_group_with(
+        &g,
+        Closeness,
+        3,
+        &GreedyOptions::optimized(),
+        &mut ctx(&zero())
+    )
+    .outcome
+    .completion
+    .is_complete());
+    assert!(
+        !nei_sky_group_with(&g, Harmonic, 3, true, &mut ctx(&zero()))
+            .outcome
+            .greedy
+            .completion
+            .is_complete()
+    );
 }

@@ -22,9 +22,10 @@
 //! injected fault set, a trip always leaves a resumable snapshot whose
 //! resumption converges to the uninterrupted answer, partial outcomes
 //! are anytime-sound, no-fault runs are byte-identical to the
-//! uninstrumented twins, recorder phase spans stay balanced, and (for
-//! sequential kernels) a repeated run reproduces the outcome and every
-//! counter exactly. All randomness is SplitMix64-seeded from the kernel
+//! uninstrumented entry points, an untripped checkpointed run leaves a
+//! loadable checkpoint on disk, recorder phase spans stay balanced, and
+//! (for sequential kernels) a repeated run reproduces the outcome and
+//! every counter exactly. All randomness is SplitMix64-seeded from the kernel
 //! name, so the matrix is deterministic run to run.
 
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -518,21 +519,27 @@ fn run_cell<T>(
     }
 
     // Whatever checkpoint the sink managed to land on disk must itself
-    // be a usable resume point (a trip before the first due checkpoint
-    // legitimately leaves nothing).
+    // be a usable resume point. A trip before the first due checkpoint
+    // legitimately leaves nothing; an untripped run always leaves one.
     if let Some(path) = &ck_path {
-        if let Ok(snap) = Snapshot::load(path) {
-            let resumed = run_ctx(case.run, None, Some(&snap), None, None);
-            assert!(
-                resumed.recovery.is_none(),
-                "{label}: disk checkpoint rejected: {:?}",
-                resumed.recovery
-            );
-            assert_eq!(
-                (case.fingerprint)(&resumed.outcome),
-                clean_fp,
-                "{label}: disk resume diverged"
-            );
+        match Snapshot::load(path) {
+            Ok(snap) => {
+                let resumed = run_ctx(case.run, None, Some(&snap), None, None);
+                assert!(
+                    resumed.recovery.is_none(),
+                    "{label}: disk checkpoint rejected: {:?}",
+                    resumed.recovery
+                );
+                assert_eq!(
+                    (case.fingerprint)(&resumed.outcome),
+                    clean_fp,
+                    "{label}: disk resume diverged"
+                );
+            }
+            Err(e) => assert!(
+                comp != Completion::Complete,
+                "{label}: untripped checkpointed run left no loadable checkpoint: {e}"
+            ),
         }
         let _ = std::fs::remove_file(path);
     }
