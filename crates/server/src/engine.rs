@@ -3,10 +3,12 @@
 //! The engine is the seam between the wire protocol and the kernel
 //! substrate. Every query builds a fresh [`ExecutionBudget`] (deadline,
 //! optional memory cap, the request's own [`CancelToken`] child) and runs
-//! exactly one `*_with` kernel under it, so a tripped budget degrades to
+//! at most one `*_with` kernel under it, so a tripped budget degrades to
 //! an anytime partial answer — never an error — and a client disconnect
-//! cancels only its own request.
+//! cancels only its own request. A default `skyline` read runs no kernel
+//! once its graph's [`SkylineCache`] holds the exact skyline.
 
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use nsky_centrality::measure::{Closeness, Harmonic};
@@ -21,7 +23,7 @@ use nsky_skyline::{
     RefineConfig,
 };
 
-use crate::json::{self, Value};
+use crate::json::{self, Rendered, Value};
 use crate::protocol::ProtocolError;
 
 /// The outcome of one executed query, ready for response assembly.
@@ -35,6 +37,36 @@ pub struct QueryOutcome {
     /// The op-specific result payload.
     pub result: Value,
 }
+
+/// One graph's exact skyline, its id array rendered once as JSON.
+/// Cloning it is an `Arc` clone.
+#[derive(Debug, Clone)]
+pub struct EpochSkyline {
+    array: Rendered,
+    size: usize,
+}
+
+impl EpochSkyline {
+    fn new(skyline: &[VertexId]) -> EpochSkyline {
+        EpochSkyline {
+            array: Rendered::new(&ids(skyline)),
+            size: skyline.len(),
+        }
+    }
+
+    /// The `result` object of a skyline read.
+    fn result(&self) -> Value {
+        json::obj(vec![
+            ("skyline", Value::Raw(self.array.clone())),
+            ("size", json::num(self.size as u64)),
+        ])
+    }
+}
+
+/// A published graph's fill-once skyline. Only a complete
+/// FilterRefineSky run on that graph, or the update engine's exact
+/// skyline for it, fills the cache.
+pub type SkylineCache = OnceLock<EpochSkyline>;
 
 /// Builds the per-request budget from the request's knobs.
 ///
@@ -72,7 +104,30 @@ pub fn budget_for(
     Ok(budget.cancelled_by(token))
 }
 
-/// Executes one parsed request against the loaded graph.
+/// [`execute_read`] with no skyline cache: every `skyline` read runs
+/// its kernel.
+///
+/// # Errors
+///
+/// As [`execute_read`].
+pub fn execute_query(
+    g: &Graph,
+    req: &Value,
+    default_timeout: Option<Duration>,
+    token: &CancelToken,
+    rec: &CountingRecorder,
+) -> Result<QueryOutcome, ProtocolError> {
+    execute_read(g, None, req, default_timeout, token, rec)
+}
+
+/// Executes one parsed request against `g`, whose skyline `cache` (if
+/// any) serves default `skyline` reads.
+///
+/// A default (`refine`) read is answered from a filled cache with no
+/// kernel run and no budget. On an empty cache it runs FilterRefineSky
+/// under the request's budget, and a complete run fills the cache; a
+/// partial one never does. `algorithm:"base"` always runs BaseSky, as
+/// the cross-check.
 ///
 /// The recorder is the caller's: the server passes a fresh
 /// `CountingRecorder` per request and folds it into the response's
@@ -83,8 +138,9 @@ pub fn budget_for(
 ///
 /// Returns a typed [`ProtocolError`] for unknown ops or structurally
 /// invalid arguments; kernel budget trips are *not* errors.
-pub fn execute_query(
+pub fn execute_read(
     g: &Graph,
+    cache: Option<&SkylineCache>,
     req: &Value,
     default_timeout: Option<Duration>,
     token: &CancelToken,
@@ -107,6 +163,14 @@ pub fn execute_query(
                 .get("algorithm")
                 .and_then(Value::as_str)
                 .unwrap_or("refine");
+            let cache = cache.filter(|_| algorithm == "refine");
+            if let Some(sky) = cache.and_then(OnceLock::get) {
+                return Ok(QueryOutcome {
+                    kernel: "server/skyline_cache",
+                    completion: Completion::Complete,
+                    result: sky.result(),
+                });
+            }
             let mut ctx = nsky_skyline::ExecutionContext::new()
                 .budget(&budget)
                 .recorder(dyn_rec);
@@ -123,17 +187,21 @@ pub fn execute_query(
                 }
             };
             let outcome = run.outcome;
+            let result = match cache {
+                // Two racing first readers may both get here; the cache
+                // keeps one of their (identical) answers.
+                Some(cache) if outcome.completion.is_complete() => cache
+                    .get_or_init(|| EpochSkyline::new(&outcome.skyline))
+                    .result(),
+                _ => json::obj(vec![
+                    ("skyline", ids(&outcome.skyline)),
+                    ("size", json::num(outcome.skyline.len() as u64)),
+                ]),
+            };
             Ok(QueryOutcome {
                 kernel,
                 completion: outcome.completion,
-                result: json::obj(vec![
-                    ("skyline", ids(&outcome.skyline)),
-                    ("size", json::num(outcome.skyline.len() as u64)),
-                    (
-                        "candidates",
-                        json::num(outcome.candidates.as_ref().map_or(0, Vec::len) as u64),
-                    ),
-                ]),
+                result,
             })
         }
         "dominates" => {
@@ -267,6 +335,20 @@ pub fn execute_update(
     token: &CancelToken,
     rec: &CountingRecorder,
 ) -> Result<QueryOutcome, ProtocolError> {
+    update_epoch(engine, deltas, req, default_timeout, token, rec).map(|(outcome, _)| outcome)
+}
+
+/// [`execute_update`], also returning the committed skyline for the
+/// published epoch's [`SkylineCache`]. Its array is rendered once: the
+/// reply's `skyline` member is the same text.
+pub(crate) fn update_epoch(
+    engine: &mut MutableSkyline,
+    deltas: &[EdgeDelta],
+    req: &Value,
+    default_timeout: Option<Duration>,
+    token: &CancelToken,
+    rec: &CountingRecorder,
+) -> Result<(QueryOutcome, EpochSkyline), ProtocolError> {
     let budget = budget_for(req, default_timeout, token.child())?;
     let dyn_rec: &dyn Recorder = rec;
     let mut ctx = nsky_skyline::ExecutionContext::new()
@@ -274,19 +356,21 @@ pub fn execute_update(
         .recorder(dyn_rec);
     let run = engine.apply_batch_with(deltas, &mut ctx);
     let o = run.outcome;
-    Ok(QueryOutcome {
+    let sky = EpochSkyline::new(&o.skyline);
+    let outcome = QueryOutcome {
         kernel: "server/dynamic_maintain",
         completion: o.completion,
         result: json::obj(vec![
-            ("skyline", ids(&o.skyline)),
-            ("size", json::num(o.skyline.len() as u64)),
+            ("skyline", Value::Raw(sky.array.clone())),
+            ("size", json::num(sky.size as u64)),
             ("cursor", json::num(o.cursor as u64)),
             ("total", json::num(o.total as u64)),
             ("applied", json::num(o.stats.applied)),
             ("skipped", json::num(o.stats.skipped)),
             ("edges", json::num(engine.num_edges() as u64)),
         ]),
-    })
+    };
+    Ok((outcome, sky))
 }
 
 /// Renders a vertex list as a JSON array of numbers.

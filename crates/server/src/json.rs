@@ -4,15 +4,18 @@
 //! implements the subset of JSON the protocol needs: a recursive-descent
 //! parser with a hard depth limit and a canonical serializer. Numbers are
 //! stored as `f64`; integral values round-trip without a fractional part
-//! up to 2^53, which covers every counter the wire carries.
+//! up to 2^53, which covers every counter the wire carries. A
+//! [`Rendered`] value is serialized once and spliced into later documents
+//! verbatim, so a reply the server sends many times is rendered once.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum nesting depth accepted by [`parse`]. Requests are flat objects,
 /// so anything deeper is adversarial input, not traffic.
 const MAX_DEPTH: usize = 32;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -27,6 +30,23 @@ pub enum Value {
     Array(Vec<Value>),
     /// An object; insertion order is preserved for deterministic output.
     Object(Vec<(String, Value)>),
+    /// Pre-rendered JSON, written verbatim. [`parse`] never produces it,
+    /// and the accessors treat it as opaque.
+    Raw(Rendered),
+}
+
+/// JSON text rendered once from a [`Value`], shared by `Arc`. Rendering a
+/// `Value` is the only way to build one, so the text is always valid
+/// JSON and [`Value::Raw`] can write it without re-checking.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Rendered(Arc<str>);
+
+impl Rendered {
+    /// Renders `value` once.
+    #[must_use]
+    pub(crate) fn new(value: &Value) -> Rendered {
+        Rendered(value.to_string().into())
+    }
 }
 
 impl Value {
@@ -130,6 +150,7 @@ impl fmt::Display for Value {
                 }
                 f.write_str("}")
             }
+            Value::Raw(Rendered(text)) => f.write_str(text),
         }
     }
 }
@@ -479,6 +500,21 @@ mod tests {
         assert_eq!(num(42).to_string(), "42");
         assert_eq!(Value::Num(1.25).to_string(), "1.25");
         assert_eq!(Value::Num(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn raw_renders_verbatim_and_is_never_parsed() {
+        let array = Value::Array(vec![num(3), num(1), num(4)]);
+        let doc = obj(vec![
+            ("skyline", Value::Raw(Rendered::new(&array))),
+            ("size", num(3)),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(text, r#"{"skyline":[3,1,4],"size":3}"#);
+        // Parsing the text back yields plain values, never `Raw`.
+        let parsed = parse(&text).unwrap();
+        assert_eq!(parsed.get("skyline"), Some(&array));
+        assert_eq!(parsed, obj(vec![("skyline", array), ("size", num(3))]));
     }
 
     #[test]

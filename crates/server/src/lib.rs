@@ -4,8 +4,9 @@
 //! The daemon loads a graph once and answers skyline / dominance /
 //! clique / group-centrality queries over a newline-delimited JSON
 //! protocol (one request line in, one response line out, pipelining
-//! allowed). Every request runs one kernel under its own
-//! `ExecutionContext`:
+//! allowed). A default `skyline` read is answered from the published
+//! epoch, which holds its graph's exact skyline rendered once; every
+//! other kernel run happens under the request's own `ExecutionContext`:
 //!
 //! - a deadline budget turns timeouts into *anytime partial answers*
 //!   tagged `"partial": true` — never an error;
@@ -30,6 +31,9 @@ pub mod json;
 pub mod protocol;
 pub mod server;
 
-pub use engine::{budget_for, execute_query, execute_update, parse_update_deltas, QueryOutcome};
+pub use engine::{
+    budget_for, execute_query, execute_read, execute_update, parse_update_deltas, QueryOutcome,
+    SkylineCache,
+};
 pub use protocol::ProtocolError;
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};

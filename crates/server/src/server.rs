@@ -25,7 +25,9 @@ use nsky_skyline::budget::CancelToken;
 use nsky_skyline::obs::{CountingRecorder, RunReport};
 use nsky_skyline::MutableSkyline;
 
-use crate::engine::{execute_query, execute_update, parse_update_deltas, QueryOutcome};
+use crate::engine::{
+    execute_read, parse_update_deltas, update_epoch, EpochSkyline, QueryOutcome, SkylineCache,
+};
 use crate::json::{self, Value};
 use crate::protocol::{self, Frame, ProtocolError};
 
@@ -129,6 +131,9 @@ struct Epoch {
     generation: u64,
     graph: Graph,
     fingerprint: u64,
+    /// `graph`'s exact skyline. An update fills it at publish; the
+    /// start-up generation's first complete default read fills it.
+    skyline: SkylineCache,
 }
 
 struct Shared {
@@ -178,15 +183,17 @@ impl Shared {
         Arc::clone(&self.lock(&self.epoch))
     }
 
-    /// Publishes `graph` as the next generation and returns its epoch.
-    /// Called only by the (serialized) update path.
-    fn publish(&self, graph: Graph) -> Arc<Epoch> {
+    /// Publishes `graph`, whose exact skyline is `skyline`, as the next
+    /// generation and returns its epoch. Called only by the (serialized)
+    /// update path.
+    fn publish(&self, graph: Graph, skyline: EpochSkyline) -> Arc<Epoch> {
         let fingerprint = graph.fingerprint();
         let mut slot = self.lock(&self.epoch);
         let next = Arc::new(Epoch {
             generation: slot.generation + 1,
             graph,
             fingerprint,
+            skyline: SkylineCache::from(skyline),
         });
         *slot = Arc::clone(&next);
         next
@@ -247,6 +254,7 @@ impl Server {
                 generation: 0,
                 graph,
                 fingerprint,
+                skyline: SkylineCache::new(),
             })),
             updater: Mutex::new(None),
             config,
@@ -572,8 +580,9 @@ fn serve_request(
         run_update(shared, req, &req_token, &rec)
     } else {
         let epoch = shared.current_epoch();
-        execute_query(
+        execute_read(
             &epoch.graph,
+            Some(&epoch.skyline),
             req,
             shared.config.default_timeout,
             &req_token,
@@ -596,7 +605,7 @@ fn serve_request(
             } else {
                 shared.counters.completed.fetch_add(1, Ordering::Relaxed);
             }
-            let line = render_response(req, &outcome, &rec, started, &epoch);
+            let line = render_response(req, outcome, &rec, started, &epoch);
             writer.write_all(line.as_bytes()).is_ok()
         }
         Err(fault) => {
@@ -612,10 +621,11 @@ fn serve_request(
 
 /// Runs one `update` request: validates fully before any mutation,
 /// applies the batch on the serialized incremental engine, publishes
-/// the resulting graph as the next epoch, and returns that epoch so
-/// the response is stamped with the generation it produced. Reads keep
-/// serving the previous epoch until the publish — a malformed batch is
-/// rejected with zero mutation and the generation does not move.
+/// the resulting graph with its exact skyline as the next epoch, and
+/// returns that epoch so the response is stamped with the generation it
+/// produced. Reads keep serving the previous epoch until the publish —
+/// a malformed batch is rejected with zero mutation and the generation
+/// does not move.
 fn run_update(
     shared: &Shared,
     req: &Value,
@@ -630,7 +640,7 @@ fn run_update(
     let current = shared.current_epoch();
     let deltas = parse_update_deltas(req, current.graph.num_vertices())?;
     let engine = updater.get_or_insert_with(|| MutableSkyline::new(current.graph.clone()));
-    let outcome = execute_update(
+    let (outcome, skyline) = update_epoch(
         engine,
         &deltas,
         req,
@@ -638,9 +648,9 @@ fn run_update(
         token,
         rec,
     )?;
-    // A tripped update committed an exact prefix — publish that graph;
-    // the response's `cursor`/`total` say how far it got.
-    let epoch = shared.publish(engine.current_graph());
+    // A tripped update committed an exact prefix — publish that graph
+    // and its skyline; the response's `cursor`/`total` say how far it got.
+    let epoch = shared.publish(engine.current_graph(), skyline);
     Ok((outcome, epoch))
 }
 
@@ -712,7 +722,7 @@ fn monitor_loop(shared: &Shared) {
 /// `update`, the generation it produced).
 fn render_response(
     req: &Value,
-    outcome: &QueryOutcome,
+    outcome: QueryOutcome,
     rec: &CountingRecorder,
     started: Instant,
     epoch: &Epoch,
@@ -724,15 +734,16 @@ fn render_response(
         report.push_event(format!("server: partial answer ({})", outcome.completion));
     }
     let op = req.get("op").and_then(Value::as_str).unwrap_or("?");
-    let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+    // Fractional milliseconds, rounded to the microsecond.
+    let elapsed_ms = (started.elapsed().as_secs_f64() * 1e6).round() / 1e3;
     let mut line = json::obj(vec![
         ("ok", Value::Bool(true)),
         ("op", json::s(op)),
         ("partial", Value::Bool(partial)),
         ("completion", json::s(&outcome.completion.to_string())),
         ("generation", json::num(epoch.generation)),
-        ("elapsed_ms", json::num(elapsed_ms)),
-        ("result", outcome.result.clone()),
+        ("elapsed_ms", Value::Num(elapsed_ms)),
+        ("result", outcome.result),
         ("report", json::s(&report.to_json())),
     ])
     .to_string();

@@ -1,11 +1,16 @@
 //! R18 fixture: `pump` holds the `buffer` guard across a socket read,
-//! and `stamp` holds the *protected* `epoch` guard across one — the
+//! `stamp` holds the *protected* `epoch` guard across one — the
 //! `// GUARD:` justification on `stamp` is deliberately ignored because
-//! `epoch` is on the protected list.
+//! `epoch` is on the protected list — and `answer` and `answer_cached`
+//! hold `buffer` across a kernel entry.
 
 use std::io::Read;
 use std::net::TcpStream;
 use std::sync::Mutex;
+
+use nsky_graph::Graph;
+use nsky_server::engine::{execute_query, execute_read};
+use nsky_server::json::Value;
 
 struct Relay {
     buffer: Mutex<Vec<u8>>,
@@ -33,4 +38,22 @@ fn stamp(r: &Relay, stream: &mut TcpStream) -> u64 {
     let _ = stream.read(&mut probe);
     *e = e.wrapping_add(1);
     *e
+}
+
+fn answer(r: &Relay, g: &Graph, req: &Value) -> usize {
+    let buf = match r.buffer.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    let _ = execute_query(g, req);
+    buf.len()
+}
+
+fn answer_cached(r: &Relay, g: &Graph, req: &Value) -> usize {
+    let buf = match r.buffer.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    let _ = execute_read(g, None, req);
+    buf.len()
 }

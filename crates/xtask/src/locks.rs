@@ -44,9 +44,10 @@
 //!   --check/--bless`), so the canonical order is reviewed like an API
 //!   surface.
 //! * **R18 `guard-held-across-blocking`** — no kernel entry
-//!   (`ExecutionContext::drive`, `execute_query`/`execute_update`),
-//!   socket/file I/O, `Condvar` wait, sleep, or thread spawn/join while
-//!   a guard is live, unless justified with a `// GUARD:` marker at the
+//!   (`ExecutionContext::drive`, the server's `execute_query`,
+//!   `execute_read`, `execute_update` and `update_epoch`), socket/file
+//!   I/O, `Condvar` wait, sleep, or thread spawn/join while a guard is
+//!   live, unless justified with a `// GUARD:` marker at the
 //!   acquisition or the blocking site. When the held lock is the
 //!   server's `epoch` or `queue` the finding is *unsuppressible*,
 //!   mirroring R11's Relaxed-flag case: those two locks sit on the
@@ -114,7 +115,13 @@ const WAIT_METHODS: &[&str] = &["wait", "wait_timeout", "wait_while"];
 
 /// Kernel entry points: calling one runs a whole (budgeted, but
 /// unbounded-latency) kernel — never acceptable under a held guard.
-const KERNEL_ENTRIES: &[&str] = &["drive", "execute_query", "execute_update"];
+const KERNEL_ENTRIES: &[&str] = &[
+    "drive",
+    "execute_query",
+    "execute_read",
+    "execute_update",
+    "update_epoch",
+];
 
 /// Runs R17–R20 over the workspace rooted at `root`.
 pub(crate) fn check_locks(root: &Path) -> std::io::Result<Vec<Violation>> {

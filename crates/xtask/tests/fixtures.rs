@@ -358,14 +358,23 @@ fn r17_cross_crate_transitive_cycle_flagged() {
 fn r18_guard_across_blocking_flagged() {
     let violations = assert_only_rule("r18_bad", Rule::GuardBlocking);
     // `pump` holds `buffer` across a read; `stamp` holds the protected
-    // `epoch` across one and its `// GUARD:` marker is ignored.
-    assert_eq!(violations.len(), 2);
+    // `epoch` across one and its `// GUARD:` marker is ignored; `answer`
+    // and `answer_cached` hold `buffer` across a kernel entry.
+    assert_eq!(violations.len(), 4);
     assert!(violations
         .iter()
         .any(|v| v.message.contains("buffer") && v.message.contains("pump")));
     assert!(violations
         .iter()
         .any(|v| v.message.contains("epoch") && v.message.contains("protected")));
+    for entry in ["execute_query", "execute_read"] {
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.message.contains(&format!("kernel entry `{entry}(`"))),
+            "no finding names {entry}: {violations:?}"
+        );
+    }
 }
 
 #[test]

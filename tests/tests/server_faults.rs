@@ -567,6 +567,111 @@ fn tripped_update_publishes_an_exact_prefix_epoch() {
     assert_eq!(stats.partial, 1, "{stats:?}");
 }
 
+/// One-shot request returning the raw response line.
+fn request_line(addr: SocketAddr, line: &str) -> String {
+    let mut stream = connect(addr);
+    stream.write_all(line.as_bytes()).expect("send");
+    stream.write_all(b"\n").expect("send newline");
+    let mut response = String::new();
+    BufReader::new(stream)
+        .read_line(&mut response)
+        .expect("read response");
+    response
+}
+
+/// The `result` member of a response line, byte for byte.
+fn result_text(line: &str) -> &str {
+    let (_, rest) = line.split_once(r#""result":"#).expect("result member");
+    let (result, _) = rest.split_once(r#","report":"#).expect("report member");
+    result
+}
+
+fn report_of(resp: &Value) -> RunReport {
+    RunReport::from_json(resp.get("report").and_then(Value::as_str).expect("report"))
+        .expect("checksum-valid report")
+}
+
+/// The epoch's skyline cache: generation 0 starts empty, a tripped read
+/// leaves it so, the first complete default read fills it, and later
+/// reads are served from it without a kernel run or a budget. `base`
+/// still runs its kernel, and an update fills the cache of the
+/// generation it publishes.
+#[test]
+fn skyline_reads_are_served_from_the_epoch_cache() {
+    let handle = start_karate(test_config());
+    let addr = handle.addr();
+    let karate = nsky_datasets::karate();
+    let full = filter_refine_sky(&karate, &RefineConfig::default());
+
+    let tripped = request(
+        addr,
+        r#"{"op":"skyline","trip_after":1,"check_interval":1}"#,
+    );
+    assert_eq!(tripped.get("partial").and_then(Value::as_bool), Some(true));
+    assert_eq!(report_of(&tripped).kernel, "server/filter_refine_sky");
+
+    // The partial answer left the cache empty: this read runs the kernel.
+    let miss_line = request_line(addr, r#"{"op":"skyline"}"#);
+    let miss = json::parse(miss_line.trim_end()).expect("response must be JSON");
+    assert_eq!(miss.get("partial").and_then(Value::as_bool), Some(false));
+    assert_eq!(report_of(&miss).kernel, "server/filter_refine_sky");
+    assert_eq!(skyline_ids(&miss), full.skyline);
+
+    let hit_line = request_line(addr, r#"{"op":"skyline"}"#);
+    let hit = json::parse(hit_line.trim_end()).expect("response must be JSON");
+    let report = report_of(&hit);
+    assert_eq!(report.kernel, "server/skyline_cache");
+    assert!(
+        report.counters.iter().all(|&(_, v)| v == 0),
+        "a cache hit runs no kernel: {:?}",
+        report.counters
+    );
+    assert!(report.phases.is_empty(), "{:?}", report.phases);
+    assert_eq!(result_text(&hit_line), result_text(&miss_line));
+    let elapsed = hit.get("elapsed_ms").and_then(Value::as_f64);
+    assert!(
+        elapsed.is_some_and(|ms| ms > 0.0 && ms < 1000.0),
+        "elapsed_ms {elapsed:?} must be fractional milliseconds"
+    );
+
+    // Budgets bind kernel runs only: a hit is complete under any budget.
+    let resp = request(
+        addr,
+        r#"{"op":"skyline","trip_after":1,"check_interval":1}"#,
+    );
+    assert_eq!(resp.get("partial").and_then(Value::as_bool), Some(false));
+    assert_eq!(skyline_ids(&resp), full.skyline);
+
+    // `base` is the cross-check and always runs its kernel.
+    let base = request(addr, r#"{"op":"skyline","algorithm":"base"}"#);
+    assert_eq!(report_of(&base).kernel, "server/base_sky");
+    assert_eq!(skyline_ids(&base), full.skyline);
+
+    let batch = ["+ 0 9", "- 33 32"];
+    let resp = request(
+        addr,
+        &format!("{{\"op\":\"update\",\"deltas\":{}}}", deltas_json(&batch)),
+    );
+    assert_eq!(resp.get("generation").and_then(Value::as_u64), Some(1));
+    let after = request(addr, r#"{"op":"skyline"}"#);
+    assert_eq!(after.get("generation").and_then(Value::as_u64), Some(1));
+    assert_eq!(report_of(&after).kernel, "server/skyline_cache");
+    let replayed = apply_local(&karate, &batch);
+    assert_eq!(
+        skyline_ids(&after),
+        filter_refine_sky(&replayed, &RefineConfig::default()).skyline
+    );
+    assert_ne!(
+        skyline_ids(&after),
+        full.skyline,
+        "the batch moves the skyline"
+    );
+
+    let stats = handle.shutdown_and_drain();
+    assert_eq!(stats.partial, 1, "{stats:?}");
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+}
+
 #[test]
 fn shutdown_frame_drains_inflight_and_reaps_every_thread() {
     let handle = start_karate(test_config());
