@@ -14,6 +14,18 @@
 //! vertex matches the paper's `argmax GC(S ∪ {u}) − GC(S)` rule. Raw
 //! gains are non-increasing as `S` grows (adding members only lowers
 //! `d(v, S)` pointwise), which justifies the CELF lazy queue.
+//!
+//! The first round scores every pool vertex against the empty group —
+//! CELF's queue seeding, and the plain engine's first round. Nothing
+//! prunes those traversals, so they run as one bit-parallel BFS per
+//! batch of 64 pool vertices (multi-source BFS: Then et al., *The More
+//! the Merrier*, PVLDB 8(4), 2014), one bit of a `u64` word per source.
+//! Against the empty group every vertex a source first reaches at
+//! distance `d` adds the same term `f(d) − f(∞)`, and the sequential BFS
+//! adds them in nondecreasing `d`; adding each level's term once per
+//! vertex, level by level, repeats that sum bit for bit. Later rounds
+//! keep the pruned sequential BFS. A budget trip inside a batch drops
+//! the batch and saves its first pool index as the seeding cursor.
 
 use crate::measure::GroupMeasure;
 use nsky_graph::{Graph, VertexId};
@@ -98,6 +110,16 @@ impl Ord for HeapEntry {
     }
 }
 
+/// Pool vertices scored by one bit-parallel seeding BFS: one bit of a
+/// `u64` row word each.
+const BATCH: usize = 64;
+
+/// Raw total `Σ_v f(∞)` of the empty group.
+fn empty_total<M: GroupMeasure>(measure: M, n: usize) -> f64 {
+    // CAST: n < 2^32 vertices, exact in f64.
+    n as f64 * measure.contribution(u32::MAX, n)
+}
+
 /// Scratch state shared by marginal evaluations.
 struct Evaluator<'g, M> {
     g: &'g Graph,
@@ -114,24 +136,34 @@ struct Evaluator<'g, M> {
     round: u32,
     queue: VecDeque<VertexId>,
     improvements: Vec<(VertexId, u32)>,
+    // Seeding rows, bit `i` for source `i` of the batch: reached so far,
+    // this level's frontier, the next level's. A vertex's words are
+    // valid while its stamp equals the batch's round. Empty in legs
+    // with no empty-group round.
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
 }
 
 impl<'g, M: GroupMeasure> Evaluator<'g, M> {
-    fn new(g: &'g Graph, measure: M) -> Self {
+    fn new(g: &'g Graph, measure: M, seeding: bool) -> Self {
         let n = g.num_vertices();
-        let total = n as f64 * measure.contribution(u32::MAX, n);
+        let rows = if seeding { n } else { 0 };
         Evaluator {
             g,
             measure,
             n,
             dist_s: vec![u32::MAX; n],
             in_group: vec![false; n],
-            total,
+            total: empty_total(measure, n),
             dist_u: vec![u32::MAX; n],
             stamp: vec![u32::MAX; n],
             round: 0,
             queue: VecDeque::new(),
             improvements: Vec::new(),
+            seen: vec![0; rows],
+            frontier: vec![0; rows],
+            next: vec![0; rows],
         }
     }
 
@@ -185,7 +217,9 @@ impl<'g, M: GroupMeasure> Evaluator<'g, M> {
 
     /// Raw-total gain of adding `u` (non-negative, in the maximize
     /// orientation of the measure), or `None` when the budget tripped
-    /// mid-evaluation (the partial improvement list is discarded).
+    /// mid-evaluation (the partial improvement list is discarded). The
+    /// engine calls it only once the group has a member; empty-group
+    /// gains come from [`Evaluator::seed_gains`].
     // nsky-lint: allow(budget-check) — bounded by one BFS's improvement list; the BFS itself is ticked
     fn gain(&mut self, u: VertexId, prune: bool, ticker: &mut BudgetTicker<'_>) -> Option<f64> {
         debug_assert!(!self.in_group[u as usize]);
@@ -202,12 +236,121 @@ impl<'g, M: GroupMeasure> Evaluator<'g, M> {
         }
         // u leaves the sum.
         let own = self.measure.contribution(self.dist_s[u as usize], self.n);
+        Some(self.oriented_gain(delta, own))
+    }
+
+    /// The gain of a candidate whose reached vertices change the raw
+    /// total by `delta` and whose own term `own` leaves the sum, in the
+    /// maximize orientation of the measure.
+    fn oriented_gain(&self, delta: f64, own: f64) -> f64 {
         let new_total = self.total + delta - own;
-        Some(if self.measure.maximize_total() {
+        if self.measure.maximize_total() {
             new_total - self.total
         } else {
             self.total - new_total
-        })
+        }
+    }
+
+    /// Empty-group gains of up to [`BATCH`] pool vertices from one
+    /// bit-parallel BFS, bit-identical to [`Evaluator::gain`]'s: entry
+    /// `i` belongs to `batch[i]` (a repeated vertex gets one bit per
+    /// occurrence). Polls once per frontier vertex and once per edge,
+    /// like the sequential BFS; returns `None` on a trip, dropping the
+    /// batch's partial counts.
+    fn seed_gains(
+        &mut self,
+        batch: &[VertexId],
+        ticker: &mut BudgetTicker<'_>,
+    ) -> Option<[f64; BATCH]> {
+        debug_assert!(batch.len() <= BATCH && self.seen.len() == self.n);
+        self.round += 1;
+        let round = self.round;
+        self.queue.clear();
+        // nsky-lint: allow(poll-reachability) — bounded: one pass over the batch, at most 64 sources
+        for (i, &s) in batch.iter().enumerate() {
+            let s = s as usize;
+            self.touch(s, round);
+            if self.frontier[s] == 0 {
+                self.queue.push_back(s as VertexId);
+            }
+            self.seen[s] |= 1 << i;
+            self.frontier[s] |= 1 << i;
+        }
+        let unreached = self.measure.contribution(u32::MAX, self.n);
+        let mut delta = [0.0; BATCH];
+        let mut level = 1;
+        let mut level_left = self.queue.len();
+        while let Some(v) = self.queue.pop_front() {
+            if ticker.check().is_some() {
+                return None;
+            }
+            let reach = std::mem::take(&mut self.frontier[v as usize]);
+            for &w in self.g.neighbors(v) {
+                if ticker.check().is_some() {
+                    return None;
+                }
+                let w = w as usize;
+                self.touch(w, round);
+                let fresh = reach & !self.seen[w];
+                if fresh != 0 {
+                    if self.next[w] == 0 {
+                        self.queue.push_back(w as VertexId);
+                    }
+                    self.next[w] |= fresh;
+                    self.seen[w] |= fresh;
+                }
+            }
+            level_left -= 1;
+            if level_left == 0 {
+                // The queue now holds exactly the next level.
+                self.close_level(level, unreached, &mut delta);
+                level += 1;
+                level_left = self.queue.len();
+            }
+        }
+        // Against the empty group the candidate's own term is f(∞).
+        Some(delta.map(|d| self.oriented_gain(d, unreached)))
+    }
+
+    /// Clears a seeding vertex's words the first time a batch reaches it.
+    fn touch(&mut self, v: usize, round: u32) {
+        if self.stamp[v] != round {
+            self.stamp[v] = round;
+            self.seen[v] = 0;
+            self.frontier[v] = 0;
+            self.next[v] = 0;
+        }
+    }
+
+    /// Ends BFS level `level` of a seeding batch, whose queue holds the
+    /// vertices some source first reached at `level`: their `next`
+    /// words become the frontier, and each source's `delta` gains one
+    /// `f(level) − f(∞)` per vertex it first reached. The sequential
+    /// BFS adds the same terms in the same order — all of level 1, then
+    /// all of level 2, … — so repeated addition (not a product, which
+    /// rounds differently) reproduces its sum bit for bit.
+    // nsky-lint: allow(budget-check) — bounded by one level's queue and discoveries; the expansion that built them is ticked
+    fn close_level(&mut self, level: u32, unreached: f64, delta: &mut [f64; BATCH]) {
+        let mut counts = [0u32; BATCH];
+        // nsky-lint: allow(poll-reachability) — bounded: one pass over the next level, each vertex queued once
+        for &w in &self.queue {
+            let bits = std::mem::take(&mut self.next[w as usize]);
+            self.frontier[w as usize] = bits;
+            let mut rest = bits;
+            // nsky-lint: allow(poll-reachability) — bounded: one step per set bit, at most 64
+            while rest != 0 {
+                counts[rest.trailing_zeros() as usize] += 1;
+                rest &= rest - 1;
+            }
+        }
+        let term = self.measure.contribution(level, self.n) - unreached;
+        // nsky-lint: allow(poll-reachability) — bounded: one pass over the batch's sources
+        for (d, &c) in delta.iter_mut().zip(&counts) {
+            // nsky-lint: allow(poll-reachability) — bounded: one add per vertex first reached at this level
+            for _ in 0..c {
+                *d += term;
+            }
+        }
     }
 
     /// Adds `u` to the group, updating `dist_s` and `total`.
@@ -289,7 +432,7 @@ pub fn greedy_group_with<M: GroupMeasure>(
     rec.phase_start("greedy");
     let run = exec::drive(
         ctx,
-        g.fingerprint(),
+        || g.fingerprint(),
         GreedyState::fresh,
         |mut state, budget| {
             if !valid_greedy_state(g, &state) {
@@ -427,16 +570,35 @@ impl KernelState for GreedyState {
 /// Structural validation of a resumed greedy state: known phase, group
 /// members distinct and in range (they are blindly re-committed), queue
 /// vertices in range, and no committed members while still seeding
-/// (seed gains are evaluated against the empty group). NaN gains are
-/// tolerated — the queue orders by `total_cmp`, which is total.
+/// (seed gains are evaluated against the empty group). The CELF round
+/// counter never exceeds the committed group and no queue entry is
+/// newer than it, so a stale entry always postdates a commit and is
+/// never re-evaluated against the empty group. NaN gains are tolerated
+/// — the queue orders by `total_cmp`, which is total.
 pub(crate) fn valid_greedy_state(g: &Graph, st: &GreedyState) -> bool {
     let n = g.num_vertices();
     let mut seen = std::collections::BTreeSet::new();
     st.phase <= PHASE_ROUNDS
         && (st.phase == PHASE_ROUNDS || st.group.is_empty())
         && st.seed_cursor <= n
+        && st.round as usize <= st.group.len()
         && st.group.iter().all(|&u| (u as usize) < n && seen.insert(u))
-        && st.entries.iter().all(|&(_, v, _)| (v as usize) < n)
+        && st
+            .entries
+            .iter()
+            .all(|&(_, v, r)| (v as usize) < n && r <= st.round)
+}
+
+/// One argmax step of the plain engine: the larger gain wins, ties go
+/// to the smaller vertex id.
+fn keep_best(best: &mut Option<(f64, VertexId)>, gain: f64, u: VertexId) {
+    let better = match *best {
+        None => true,
+        Some((bg, bv)) => gain > bg || (gain == bg && u < bv),
+    };
+    if better {
+        *best = Some((gain, u));
+    }
 }
 
 pub(crate) fn greedy_leg<M: GroupMeasure>(
@@ -452,10 +614,16 @@ pub(crate) fn greedy_leg<M: GroupMeasure>(
         None => g.vertices().collect(),
     };
     let k = k.min(pool.len());
-    let mut ev = Evaluator::new(g, measure);
+    let mut state = state;
+    if state.phase == PHASE_SEEDING && state.seed_cursor > pool.len() {
+        // A seeding cursor beyond the pool cannot come from a genuine
+        // snapshot of this configuration; degrade to a fresh run.
+        state = GreedyState::fresh();
+    }
+    let n = g.num_vertices();
     let mut outcome = GreedyOutcome {
         group: Vec::with_capacity(k),
-        score: ev.score(),
+        score: measure.score(empty_total(measure, n), n),
         gain_evaluations: 0,
         lazy_skips: 0,
         score_trace: Vec::with_capacity(k),
@@ -466,17 +634,20 @@ pub(crate) fn greedy_leg<M: GroupMeasure>(
     if k == 0 {
         return (outcome, state);
     }
-    // Evaluator scratch: dist_s/dist_u/stamp (u32) + in_group + queue.
-    if let Some(status) = budget.charge(g.num_vertices() * 17) {
+    // Evaluator scratch: dist_s/dist_u/stamp (u32) + in_group + queue,
+    // plus the seen/frontier/next rows (u64) if this leg still scores
+    // the pool against the empty group.
+    let seeding = if opts.lazy {
+        state.phase == PHASE_SEEDING
+    } else {
+        state.group.is_empty()
+    };
+    let rows = if seeding { 24 } else { 0 };
+    if let Some(status) = budget.charge(n * (17 + rows)) {
         outcome.completion = status;
         return (outcome, state);
     }
-    let mut state = state;
-    if state.phase == PHASE_SEEDING && state.seed_cursor > pool.len() {
-        // A seeding cursor beyond the pool cannot come from a genuine
-        // snapshot of this configuration; degrade to a fresh run.
-        state = GreedyState::fresh();
-    }
+    let mut ev = Evaluator::new(g, measure, seeding);
     let mut ticker = budget.ticker();
 
     // Replay the committed prefix: commits are deterministic, so the
@@ -499,20 +670,26 @@ pub(crate) fn greedy_leg<M: GroupMeasure>(
         }
         let mut round = state.round;
         if state.phase == PHASE_SEEDING {
-            for (idx, &u) in pool.iter().enumerate().skip(state.seed_cursor) {
-                outcome.gain_evaluations += 1;
-                let Some(gain) = ev.gain(u, opts.pruned_bfs, &mut ticker) else {
+            let from = state.seed_cursor;
+            for (b, batch) in pool[from..].chunks(BATCH).enumerate() {
+                outcome.gain_evaluations += batch.len() as u64;
+                let Some(gains) = ev.seed_gains(batch, &mut ticker) else {
+                    // A resumed run rescores the whole batch.
                     outcome.completion = ticker.status();
                     outcome.score = ev.score();
+                    let cursor = from + b * BATCH;
                     let state =
-                        GreedyState::packed(PHASE_SEEDING, &outcome.group, idx, round, heap);
+                        GreedyState::packed(PHASE_SEEDING, &outcome.group, cursor, round, heap);
                     return (outcome, state);
                 };
-                heap.push(HeapEntry {
-                    gain,
-                    vertex: u,
-                    round: 0,
-                });
+                // nsky-lint: allow(poll-reachability) — bounded: one queue entry per batch vertex
+                for (&vertex, &gain) in batch.iter().zip(&gains) {
+                    heap.push(HeapEntry {
+                        gain,
+                        vertex,
+                        round: 0,
+                    });
+                }
             }
         }
         'rounds: while outcome.group.len() < k {
@@ -530,6 +707,10 @@ pub(crate) fn greedy_leg<M: GroupMeasure>(
                 outcome.score_trace.push(ev.score());
                 round += 1;
             } else {
+                // Entry rounds never exceed `round`, which never exceeds
+                // the group size (see `valid_greedy_state`): a stale
+                // entry implies a member, so `gain` never sees S = ∅.
+                debug_assert!(!outcome.group.is_empty());
                 outcome.gain_evaluations += 1;
                 let Some(gain) = ev.gain(top.vertex, opts.pruned_bfs, &mut ticker) else {
                     // Re-push the popped entry (stale gain intact) so the
@@ -552,23 +733,31 @@ pub(crate) fn greedy_leg<M: GroupMeasure>(
     } else {
         'plain: while outcome.group.len() < k {
             let mut best: Option<(f64, VertexId)> = None;
-            for &u in &pool {
-                if ev.in_group[u as usize] {
-                    continue;
+            if outcome.group.is_empty() {
+                for batch in pool.chunks(BATCH) {
+                    outcome.gain_evaluations += batch.len() as u64;
+                    let Some(gains) = ev.seed_gains(batch, &mut ticker) else {
+                        outcome.completion = ticker.status();
+                        break 'plain;
+                    };
+                    // nsky-lint: allow(poll-reachability) — bounded: one argmax step per batch vertex
+                    for (&u, &gain) in batch.iter().zip(&gains) {
+                        keep_best(&mut best, gain, u);
+                    }
                 }
-                outcome.gain_evaluations += 1;
-                let Some(gain) = ev.gain(u, opts.pruned_bfs, &mut ticker) else {
-                    // Trip mid-round: the round's argmax is unknown, so
-                    // the in-progress round is dropped entirely.
-                    outcome.completion = ticker.status();
-                    break 'plain;
-                };
-                let better = match best {
-                    None => true,
-                    Some((bg, bv)) => gain > bg || (gain == bg && u < bv),
-                };
-                if better {
-                    best = Some((gain, u));
+            } else {
+                for &u in &pool {
+                    if ev.in_group[u as usize] {
+                        continue;
+                    }
+                    outcome.gain_evaluations += 1;
+                    let Some(gain) = ev.gain(u, opts.pruned_bfs, &mut ticker) else {
+                        // Trip mid-round: the round's argmax is unknown, so
+                        // the in-progress round is dropped entirely.
+                        outcome.completion = ticker.status();
+                        break 'plain;
+                    };
+                    keep_best(&mut best, gain, u);
                 }
             }
             let Some((_, v)) = best else {
@@ -597,6 +786,193 @@ mod tests {
     use crate::measure::{Closeness, Decay, Harmonic};
     use nsky_graph::generators::special::{cycle, path, star};
     use nsky_graph::generators::{chung_lu_power_law, erdos_renyi};
+    use nsky_graph::traversal::bfs_distances;
+    use nsky_skyline::budget::TripClock;
+
+    /// Scores `pool` against the empty group through the batched
+    /// seeding BFS and through the sequential `gain`, and requires the
+    /// same bits for every pool entry.
+    fn assert_seed_gains_match<M: GroupMeasure>(g: &Graph, measure: M, pool: &[VertexId]) {
+        let mut ev = Evaluator::new(g, measure, true);
+        let mut ticker = BudgetTicker::inert();
+        for batch in pool.chunks(BATCH) {
+            let gains = ev
+                .seed_gains(batch, &mut ticker)
+                .expect("an inert ticker never trips");
+            for (&u, &batched) in batch.iter().zip(&gains) {
+                let sequential = ev
+                    .gain(u, true, &mut ticker)
+                    .expect("an inert ticker never trips");
+                assert_eq!(
+                    batched.to_bits(),
+                    sequential.to_bits(),
+                    "{} vertex {u}: batched {batched} vs sequential {sequential}",
+                    M::NAME
+                );
+            }
+        }
+    }
+
+    fn assert_seed_gains_match_all_measures(g: &Graph, pool: &[VertexId]) {
+        assert_seed_gains_match(g, Closeness, pool);
+        assert_seed_gains_match(g, Harmonic, pool);
+        assert_seed_gains_match(g, Decay::new(0.6), pool);
+    }
+
+    #[test]
+    fn seed_gains_match_sequential_gains_bit_for_bit() {
+        // Sparse random graphs: long distances, where 1/d and 0.6^d are
+        // inexact in binary and the summation order shows.
+        for seed in 0..4 {
+            for g in [
+                erdos_renyi(150, 0.02, seed),
+                chung_lu_power_law(200, 2.5, 2.5, seed),
+            ] {
+                let far = bfs_distances(&g, 0)
+                    .into_iter()
+                    .filter(|&d| d != u32::MAX)
+                    .max();
+                assert!(far >= Some(3), "seed {seed}: distances stay below 3");
+                let pool: Vec<VertexId> = g.vertices().collect();
+                assert_seed_gains_match_all_measures(&g, &pool);
+            }
+        }
+        assert_seed_gains_match_all_measures(&path(70), &(0..70).collect::<Vec<_>>());
+        assert_seed_gains_match_all_measures(&cycle(131), &(0..131).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn seed_gains_cover_unreachable_vertices() {
+        // Two paths, a triangle and six isolated vertices: every source
+        // leaves most of the graph at f(∞) — the penalty n for
+        // closeness, 0 for harmonic and decay.
+        let g = Graph::from_edges(
+            16,
+            [
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (4, 5),
+                (5, 6),
+                (7, 8),
+                (8, 9),
+                (9, 7),
+            ],
+        );
+        assert_seed_gains_match_all_measures(&g, &(0..16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn seed_gains_hold_across_batch_boundaries() {
+        let g = erdos_renyi(140, 0.02, 9);
+        for size in [1, 63, 64, 65, 129] {
+            // Stride through the graph so batches mix components.
+            let pool: Vec<VertexId> = (0..size).map(|i| (i * 37 % 140) as VertexId).collect();
+            assert_seed_gains_match_all_measures(&g, &pool);
+        }
+        // A candidate pool may repeat a vertex: each occurrence gets its
+        // own bit, and the same gain.
+        let repeated: Vec<VertexId> = (0..100).map(|i| [3, 3, 17, 3, 88][i % 5]).collect();
+        assert_seed_gains_match_all_measures(&g, &repeated);
+    }
+
+    #[test]
+    fn repeated_candidates_keep_the_pool_semantics() {
+        let g = erdos_renyi(90, 0.04, 2);
+        let pool: Vec<VertexId> = (0..90).chain(0..40).collect();
+        for lazy in [false, true] {
+            let opts = GreedyOptions {
+                lazy,
+                pruned_bfs: lazy,
+                candidates: Some(pool.clone()),
+            };
+            let out = greedy_group(&g, Harmonic, 4, &opts);
+            let unique = greedy_group(
+                &g,
+                Harmonic,
+                4,
+                &GreedyOptions {
+                    candidates: None,
+                    ..opts
+                },
+            );
+            assert_eq!(out.group, unique.group, "lazy={lazy}");
+            assert_eq!(out.score.to_bits(), unique.score.to_bits(), "lazy={lazy}");
+            if !lazy {
+                // Every pool entry is one evaluation in the first round.
+                assert!(out.gain_evaluations > unique.gain_evaluations);
+            }
+        }
+    }
+
+    #[test]
+    fn seeding_trips_save_the_batch_start() {
+        let g = erdos_renyi(130, 0.01, 43);
+        let opts = GreedyOptions::optimized();
+        let leg =
+            |budget: &ExecutionBudget, state| greedy_leg(&g, Closeness, 2, &opts, budget, state);
+        let (full, _) = leg(&ExecutionBudget::unlimited(), GreedyState::fresh());
+        let mut cursors = std::collections::BTreeSet::new();
+        // Seeding polls come first: trip at each until the rounds begin.
+        for k in 1.. {
+            let budget = ExecutionBudget::unlimited()
+                .deadline(TripClock::at_poll(k))
+                .check_interval(1);
+            let (partial, state) = leg(&budget, GreedyState::fresh());
+            if state.phase != PHASE_SEEDING {
+                break;
+            }
+            assert_eq!(partial.completion, Completion::DeadlineExceeded, "k={k}");
+            assert_eq!(state.seed_cursor % BATCH, 0, "k={k}: cursor inside a batch");
+            assert_eq!(state.entries.len(), state.seed_cursor, "k={k}");
+            if cursors.insert(state.seed_cursor) || k % 97 == 0 {
+                let (resumed, _) = leg(&ExecutionBudget::unlimited(), state);
+                assert_eq!(resumed.group, full.group, "k={k}");
+                assert_eq!(resumed.score.to_bits(), full.score.to_bits(), "k={k}");
+            }
+        }
+        // Trips landed in all three batches: 64 + 64 + 2.
+        assert_eq!(cursors.into_iter().collect::<Vec<_>>(), [0, 64, 128]);
+    }
+
+    #[test]
+    fn a_cursor_inside_a_batch_still_resumes() {
+        // Sequential seeding saved any pool index as its cursor; a
+        // batch may start there.
+        let g = erdos_renyi(130, 0.02, 5);
+        let opts = GreedyOptions::optimized();
+        let (full, _) = greedy_leg(
+            &g,
+            Harmonic,
+            3,
+            &opts,
+            &ExecutionBudget::unlimited(),
+            GreedyState::fresh(),
+        );
+        for cursor in [1, 37, 63, 65, 100, 129] {
+            let mut ev = Evaluator::new(&g, Harmonic, false);
+            let mut ticker = BudgetTicker::inert();
+            let entries = (0..cursor)
+                .map(|u| (ev.gain(u, true, &mut ticker).expect("inert"), u, 0))
+                .collect();
+            let state = GreedyState {
+                phase: PHASE_SEEDING,
+                group: Vec::new(),
+                seed_cursor: cursor as usize,
+                round: 0,
+                entries,
+            };
+            let (resumed, _) =
+                greedy_leg(&g, Harmonic, 3, &opts, &ExecutionBudget::unlimited(), state);
+            assert_eq!(resumed.group, full.group, "cursor {cursor}");
+            assert_eq!(
+                resumed.score.to_bits(),
+                full.score.to_bits(),
+                "cursor {cursor}"
+            );
+            assert_eq!(resumed.score_trace, full.score_trace, "cursor {cursor}");
+        }
+    }
 
     #[test]
     fn star_hub_first() {

@@ -68,7 +68,7 @@ pub fn nei_sky_group_with<M: GroupMeasure>(
     let rec = ctx.effective_recorder();
     let run = exec::drive(
         ctx,
-        g.fingerprint(),
+        || g.fingerprint(),
         || NeiSkyGroupState(GreedyState::fresh()),
         |mut state, budget| {
             if !valid_greedy_state(g, &state.0) {

@@ -195,7 +195,7 @@ pub fn max_clique_bnb_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> Resumab
     rec.phase_start("bnb");
     let run = exec::drive(
         ctx,
-        g.fingerprint(),
+        || g.fingerprint(),
         || BnbState { best: Vec::new() },
         |mut state, budget| {
             if !valid_clique(g, &state.best) {

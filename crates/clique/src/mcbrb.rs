@@ -49,7 +49,7 @@ pub fn mc_brb_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> ResumableRun<Cl
     rec.phase_start("mcbrb");
     let run = exec::drive(
         ctx,
-        g.fingerprint(),
+        || g.fingerprint(),
         McBrbState::fresh,
         |mut state, budget| {
             if !valid_clique(g, &state.best) || state.cursor > g.num_vertices() {

@@ -68,7 +68,7 @@ pub fn nei_sky_mc_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> ResumableRu
     rec.phase_start("neisky_mc");
     let run = exec::drive(
         ctx,
-        g.fingerprint(),
+        || g.fingerprint(),
         NeiSkyState::fresh,
         |mut state, budget| {
             if !valid_clique(g, &state.best) || state.cursor > g.num_vertices() {

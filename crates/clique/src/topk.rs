@@ -122,7 +122,7 @@ pub fn top_k_cliques_with(
     let run = match mode {
         TopkMode::Base => exec::drive(
             ctx,
-            g.fingerprint(),
+            || g.fingerprint(),
             TopkBaseState::fresh,
             |mut state, budget| {
                 if !valid_rounds(g, k, &state.cliques, &state.seeds) {
@@ -135,7 +135,7 @@ pub fn top_k_cliques_with(
         ),
         TopkMode::NeiSky => exec::drive(
             ctx,
-            g.fingerprint(),
+            || g.fingerprint(),
             TopkNeiSkyState::fresh,
             |mut state, budget| {
                 if !valid_neisky_state(g, k, &state) {

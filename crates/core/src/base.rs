@@ -86,7 +86,7 @@ pub fn base_sky_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> ResumableRun<
     rec.phase_start("scan");
     let run = exec::drive(
         ctx,
-        g.fingerprint(),
+        || g.fingerprint(),
         || BaseSkyState::fresh(n),
         |mut state, budget| {
             if state.dominator.len() != n || state.cursor as usize > n {

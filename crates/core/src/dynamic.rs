@@ -410,7 +410,7 @@ impl MutableSkyline {
         };
         let run = exec::drive(
             ctx,
-            fingerprint,
+            || fingerprint,
             move || start,
             |state, budget| {
                 let (outcome, state) = self.update_leg(deltas, state, budget);

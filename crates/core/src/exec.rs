@@ -167,12 +167,14 @@ impl<'a> ExecutionContext<'a> {
 /// persistence, budget re-arming, and the period-doubling backoff that
 /// keeps a slow step from livelocking the loop).
 ///
-/// `leg` receives the state to continue from plus the effective budget,
-/// and returns the outcome, the state at the stop point, and how the
-/// leg ended.
+/// `graph_fingerprint` yields the input graph's fingerprint (usually
+/// `|| g.fingerprint()`); it runs at most once, and only when a resume
+/// image is unpacked or a snapshot packed. `leg` receives the state to
+/// continue from plus the effective budget, and returns the outcome,
+/// the state at the stop point, and how the leg ended.
 pub fn drive<S: KernelState, T>(
     ctx: &mut ExecutionContext<'_>,
-    graph_fingerprint: u64,
+    graph_fingerprint: impl Fn() -> u64,
     initial: impl FnOnce() -> S,
     mut leg: impl FnMut(S, &ExecutionBudget) -> (T, S, Completion),
 ) -> ResumableRun<T> {

@@ -97,11 +97,16 @@ pub fn filter_refine_sky_par_with(
     assert!(threads > 0, "need at least one worker thread");
     let rec = ctx.effective_recorder();
     rec.phase_start("refine_par");
-    let run = exec::drive(ctx, g.fingerprint(), ParState::fresh, |state, budget| {
-        let (result, state) = parallel_leg(g, cfg, threads, budget, state);
-        let completion = result.completion;
-        (result, state, completion)
-    });
+    let run = exec::drive(
+        ctx,
+        || g.fingerprint(),
+        ParState::fresh,
+        |state, budget| {
+            let (result, state) = parallel_leg(g, cfg, threads, budget, state);
+            let completion = result.completion;
+            (result, state, completion)
+        },
+    );
     rec.phase_end("refine_par");
     record_skyline_stats(rec, &run.outcome.stats);
     run

@@ -135,11 +135,16 @@ pub fn filter_refine_sky_with(
     ctx: &mut ExecutionContext<'_>,
 ) -> ResumableRun<SkylineResult> {
     let rec = ctx.effective_recorder();
-    let run = exec::drive(ctx, g.fingerprint(), RefineState::fresh, |state, budget| {
-        let (result, state) = filter_refine_leg(g, cfg, budget, state, rec);
-        let completion = result.completion;
-        (result, state, completion)
-    });
+    let run = exec::drive(
+        ctx,
+        || g.fingerprint(),
+        RefineState::fresh,
+        |state, budget| {
+            let (result, state) = filter_refine_leg(g, cfg, budget, state, rec);
+            let completion = result.completion;
+            (result, state, completion)
+        },
+    );
     record_skyline_stats(rec, &run.outcome.stats);
     run
 }

@@ -680,17 +680,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// the period), the driver doubles the effective period before
 /// re-entering — so any finite step eventually completes and the loop
 /// cannot livelock — and restores it after the next real progress.
+///
+/// `graph_fingerprint` yields the fingerprint that binds snapshots to
+/// the input graph. Hashing a graph is a pass over it, and only
+/// unpacking `resume` or packing a snapshot needs the value, so the
+/// driver calls it at most once, on first need: a run with no resume
+/// image that completes without a checkpoint never calls it.
 pub fn drive<S: KernelState, T>(
     budget: &ExecutionBudget,
-    graph_fingerprint: u64,
+    graph_fingerprint: impl Fn() -> u64,
     resume: Option<&Snapshot>,
     initial: impl FnOnce() -> S,
     mut leg: impl FnMut(S) -> (T, S, Completion),
     mut sink: Option<&mut (dyn Checkpointer + '_)>,
 ) -> ResumableRun<T> {
+    let mut memo = None;
+    let mut fingerprint = || *memo.get_or_insert_with(&graph_fingerprint);
     let mut recovery = None;
     let mut state = match resume {
-        Some(snap) => match snap.unpack::<S>(graph_fingerprint) {
+        Some(snap) => match snap.unpack::<S>(fingerprint()) {
             Ok(s) => s,
             Err(e) => {
                 recovery = Some(e);
@@ -713,7 +721,7 @@ pub fn drive<S: KernelState, T>(
                 }
             }
             Completion::CheckpointDue => {
-                let snap = Snapshot::pack(graph_fingerprint, &stopped);
+                let snap = Snapshot::pack(fingerprint(), &stopped);
                 let progress = fnv1a(&snap.payload);
                 if last_progress == Some(progress) {
                     // No serialized progress since the last checkpoint:
@@ -745,7 +753,7 @@ pub fn drive<S: KernelState, T>(
             _ => {
                 return ResumableRun {
                     outcome,
-                    snapshot: Some(Snapshot::pack(graph_fingerprint, &stopped)),
+                    snapshot: Some(Snapshot::pack(fingerprint(), &stopped)),
                     recovery,
                 }
             }
@@ -852,6 +860,52 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"NSKY"), crc32(b"NSKY"));
+    }
+
+    #[test]
+    fn drive_hashes_the_graph_at_most_once_and_only_for_snapshots() {
+        let calls = std::cell::Cell::new(0);
+        let fingerprint = || {
+            calls.set(calls.get() + 1);
+            0xfeed
+        };
+        // No resume image and no snapshot: the graph is never hashed.
+        let run = drive(
+            &ExecutionBudget::unlimited(),
+            fingerprint,
+            None,
+            demo,
+            |s| ((), s, Completion::Complete),
+            None,
+        );
+        assert!(run.snapshot.is_none());
+        assert_eq!(calls.get(), 0);
+
+        // A resume image, a checkpoint and a final trip share one hash.
+        let image = Snapshot::pack(0xfeed, &demo());
+        let budget = ExecutionBudget::unlimited().check_interval(1);
+        budget.set_checkpoint_period(1);
+        let mut legs = 0;
+        let run = drive(
+            &budget,
+            fingerprint,
+            Some(&image),
+            demo,
+            |s| {
+                legs += 1;
+                let status = if legs == 1 {
+                    budget.ticker().check().unwrap_or(Completion::Complete)
+                } else {
+                    Completion::DeadlineExceeded
+                };
+                ((), s, status)
+            },
+            None,
+        );
+        assert!(run.recovery.is_none());
+        assert!(run.snapshot.is_some());
+        assert_eq!(legs, 2, "the first leg stops for a checkpoint");
+        assert_eq!(calls.get(), 1);
     }
 
     #[test]

@@ -102,3 +102,27 @@ fn skyline_members_lead_greedy_groups() {
         );
     }
 }
+
+#[test]
+fn notredame_group_answers_are_pinned() {
+    // The serving benchmark's `group` request (NeiSkyGC, k = 4) on the
+    // Notredame stand-in. The benchmark's oracle recomputes group
+    // answers with the same kernel, so only pinned values catch drift
+    // in the selected group or in the bits of its score.
+    let g = nsky_datasets::paper_datasets()
+        .into_iter()
+        .find(|spec| spec.name == "Notredame")
+        .expect("Notredame is a paper dataset")
+        .build();
+    // Plain greedy over r = 694 skyline vertices: k(2r − k + 1)/2.
+    for (lazy, evaluations) in [(true, 1_389), (false, 2_770)] {
+        let gc = nei_sky_group(&g, Closeness, 4, lazy).greedy;
+        assert_eq!(gc.group, [0, 3, 1, 2], "closeness lazy={lazy}");
+        assert_eq!(gc.score.to_bits(), 0x3fea_7232_4710_6f35, "lazy={lazy}");
+        assert_eq!(gc.gain_evaluations, evaluations, "closeness lazy={lazy}");
+        let gh = nei_sky_group(&g, Harmonic, 4, lazy).greedy;
+        assert_eq!(gh.group, [0, 3, 1, 2], "harmonic lazy={lazy}");
+        assert_eq!(gh.score.to_bits(), 0x40a6_ba00_0000_0000, "lazy={lazy}");
+        assert_eq!(gh.gain_evaluations, evaluations, "harmonic lazy={lazy}");
+    }
+}

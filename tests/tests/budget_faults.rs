@@ -266,6 +266,13 @@ fn memory_caps_trip_before_allocating() {
         .completion,
         Completion::MemoryCapped
     );
+    assert_eq!(
+        nei_sky_group_with(&g, Harmonic, 3, true, &mut ctx(&tiny()))
+            .outcome
+            .greedy
+            .completion,
+        Completion::MemoryCapped
+    );
 
     // A generous cap never trips and changes nothing.
     let roomy = ExecutionBudget::unlimited().memory_cap(1 << 30);
@@ -273,6 +280,20 @@ fn memory_caps_trip_before_allocating() {
     assert_eq!(r.completion, Completion::Complete);
     assert_eq!(r.skyline, filter_refine_sky(&g, &cfg).skyline);
     assert!(roomy.charged_bytes() > 0, "refine charges its allocations");
+
+    // The greedy engine charges its evaluator (17 B/vertex) and the
+    // seeding BFS's seen/frontier/next rows (24 B/vertex).
+    let roomy = ExecutionBudget::unlimited().memory_cap(1 << 30);
+    let opts = GreedyOptions::optimized();
+    let out = greedy_group_with(&g, Harmonic, 3, &opts, &mut ctx(&roomy)).outcome;
+    assert_eq!(out.completion, Completion::Complete);
+    assert_eq!(out.group, greedy_group(&g, Harmonic, 3, &opts).group);
+    assert!(
+        roomy.charged_bytes() >= g.num_vertices() * (17 + 24),
+        "greedy charged {} B for {} vertices",
+        roomy.charged_bytes(),
+        g.num_vertices()
+    );
 }
 
 #[test]

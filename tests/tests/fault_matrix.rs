@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use nsky_centrality::greedy::{greedy_group, greedy_group_with, GreedyOptions};
-use nsky_centrality::measure::Harmonic;
+use nsky_centrality::measure::{Closeness, Harmonic};
 use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_with};
 use nsky_clique::{
     is_clique, max_clique_bnb, max_clique_bnb_with, mc_brb, mc_brb_with, nei_sky_mc,
@@ -840,6 +840,43 @@ fn matrix_greedy_celf() {
             }
         },
         fingerprint: &|o| mix(fp_vertices(10, &o.group), o.score.to_bits()),
+    });
+}
+
+#[test]
+fn matrix_greedy_celf_closeness() {
+    // Closeness (the server's default measure) over every vertex of a
+    // sparse graph with 45 components: the empty-group seeding scores
+    // the pool in bit-parallel batches of 64 + 64 + 2, so deadline
+    // trips, checkpoints and the kill sweep land inside the second and
+    // third batches, and unreachable vertices carry the n penalty.
+    let g = erdos_renyi(130, 0.01, 43);
+    let g2 = erdos_renyi(130, 0.01, 44);
+    let opts = GreedyOptions::optimized();
+    let full = greedy_group(&g, Closeness, 2, &opts);
+    run_matrix(MatrixCase {
+        name: "greedy-celf-closeness",
+        parallel: false,
+        run: &|ctx: &mut ExecutionContext<'_>| greedy_group_with(&g, Closeness, 2, &opts, ctx),
+        wrong_graph: &|ctx: &mut ExecutionContext<'_>| {
+            greedy_group_with(&g2, Closeness, 2, &opts, ctx)
+        },
+        foreign: &|| tripped_snapshot(&|ctx: &mut ExecutionContext<'_>| base_sky_with(&g, ctx)),
+        completion: &|o| o.completion,
+        check: &|o, comp, label| {
+            if comp == Completion::Complete {
+                assert_eq!(o.group, full.group, "{label}");
+                assert_eq!(
+                    o.score_trace, full.score_trace,
+                    "{label}: float replay drifted"
+                );
+                assert_eq!(o.score, full.score, "{label}");
+            } else {
+                assert!(o.group.len() <= full.group.len(), "{label}");
+                assert_eq!(o.group, full.group[..o.group.len()], "{label}");
+            }
+        },
+        fingerprint: &|o| mix(fp_vertices(12, &o.group), o.score.to_bits()),
     });
 }
 
