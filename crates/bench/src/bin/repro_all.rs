@@ -187,11 +187,12 @@ fn run_fig12() {
 fn run_table2() {
     for r in f::table2(quick_mode()) {
         println!(
-            "{:?} {:>3.0}% MC-BRB={} NeiSkyMC={} ω={}",
+            "{:?} {:>3.0}% MC-BRB={} NeiSkyMC={} search={} ω={}",
             r.axis,
             r.fraction * 100.0,
             fmt_secs(r.secs_mcbrb),
             fmt_secs(r.secs_neisky),
+            fmt_secs(r.secs_neisky_search),
             r.omega
         );
     }

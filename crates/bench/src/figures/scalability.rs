@@ -5,11 +5,11 @@ use crate::harness::time;
 use nsky_centrality::greedy::{greedy_group, GreedyOptions};
 use nsky_centrality::measure::{Closeness, GroupMeasure, Harmonic};
 use nsky_centrality::neisky::nei_sky_group;
-use nsky_clique::{mc_brb, nei_sky_mc};
+use nsky_clique::{mc_brb, nei_sky_mc, nei_sky_mc_with, NeiSkyMcInput};
 use nsky_datasets::scalability_dataset;
 use nsky_graph::ops::{sample_edges, sample_vertices};
 use nsky_graph::Graph;
-use nsky_skyline::{base_sky, filter_refine_sky, RefineConfig};
+use nsky_skyline::{base_sky, filter_refine_sky, ExecutionContext, RefineConfig};
 
 /// Which parameter a scalability row varies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,6 +109,10 @@ pub struct Table2Row {
     pub secs_mcbrb: f64,
     /// `NeiSkyMC` seconds (includes skyline computation).
     pub secs_neisky: f64,
+    /// `NeiSkyMC` search seconds: the prepared input (skyline, core
+    /// order, heuristic floor) is built outside the timer, as a server
+    /// builds it once per graph version.
+    pub secs_neisky_search: f64,
     /// Maximum clique size found (agreement asserted).
     pub omega: usize,
 }
@@ -121,12 +125,19 @@ pub fn table2(quick: bool) -> Vec<Table2Row> {
         .map(|(axis, fraction, sub)| {
             let base = time(|| mc_brb(&sub));
             let fast = time(|| nei_sky_mc(&sub));
+            let input = NeiSkyMcInput::new(
+                &sub,
+                &filter_refine_sky(&sub, &RefineConfig::default()).skyline,
+            );
+            let search = time(|| nei_sky_mc_with(&sub, &input, &mut ExecutionContext::new()));
             assert_eq!(base.value.0.len(), fast.value.clique.len());
+            assert_eq!(fast.value.clique, search.value.outcome.clique);
             Table2Row {
                 axis,
                 fraction,
                 secs_mcbrb: base.seconds,
                 secs_neisky: fast.seconds,
+                secs_neisky_search: search.seconds,
                 omega: base.value.0.len(),
             }
         })

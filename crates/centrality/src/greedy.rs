@@ -25,7 +25,10 @@
 //! adds them in nondecreasing `d`; adding each level's term once per
 //! vertex, level by level, repeats that sum bit for bit. Later rounds
 //! keep the pruned sequential BFS. A budget trip inside a batch drops
-//! the batch and saves its first pool index as the seeding cursor.
+//! the batch and saves its first pool index as the seeding cursor. The
+//! first round depends only on the graph and the pool, so a caller that
+//! runs many groups on one graph computes it once
+//! (`first_round_gains`) and hands it to every leg.
 
 use crate::measure::GroupMeasure;
 use nsky_graph::{Graph, VertexId};
@@ -81,6 +84,26 @@ pub struct GreedyOutcome {
     /// before the budget ran out — a valid greedy prefix of fewer than
     /// `k` members (selections already made are never rolled back).
     pub completion: Completion,
+}
+
+impl GreedyOutcome {
+    /// The outcome of a run that committed nothing: the empty group's
+    /// score, after `gain_evaluations` evaluations.
+    pub(crate) fn unstarted<M: GroupMeasure>(
+        measure: M,
+        n: usize,
+        gain_evaluations: u64,
+        completion: Completion,
+    ) -> GreedyOutcome {
+        GreedyOutcome {
+            group: Vec::new(),
+            score: measure.score(empty_total(measure, n), n),
+            gain_evaluations,
+            lazy_skips: 0,
+            score_trace: Vec::new(),
+            completion,
+        }
+    }
 }
 
 struct HeapEntry {
@@ -438,7 +461,7 @@ pub fn greedy_group_with<M: GroupMeasure>(
             if !valid_greedy_state(g, &state) {
                 state = GreedyState::fresh();
             }
-            let (outcome, state) = greedy_leg(g, measure, k, opts, budget, state);
+            let (outcome, state) = greedy_leg(g, measure, k, opts, None, budget, state);
             let completion = outcome.completion;
             (outcome, state, completion)
         },
@@ -456,6 +479,33 @@ pub(crate) fn record_greedy_counters(rec: &dyn nsky_skyline::obs::Recorder, out:
         out.gain_evaluations,
     );
     rec.add(nsky_skyline::obs::Counter::LazySkips, out.lazy_skips);
+}
+
+/// The empty-group gain of every `pool` entry, in pool order: the
+/// engine's first round, as the batched seeding BFS a seeding leg runs,
+/// so the gains are bit-identical to that leg's. Charges the evaluator
+/// and the seeding rows (17 + 24 B/vertex) before allocating them. On a
+/// trip returns the status and the evaluations a seeding leg would have
+/// counted by then: one per pool entry of every batch it started.
+pub(crate) fn first_round_gains<M: GroupMeasure>(
+    g: &Graph,
+    measure: M,
+    pool: &[VertexId],
+    budget: &ExecutionBudget,
+) -> Result<Vec<f64>, (Completion, u64)> {
+    if let Some(status) = budget.charge(g.num_vertices() * (17 + 24)) {
+        return Err((status, 0));
+    }
+    let mut ev = Evaluator::new(g, measure, true);
+    let mut ticker = budget.ticker();
+    let mut gains = Vec::with_capacity(pool.len());
+    for batch in pool.chunks(BATCH) {
+        let Some(batch_gains) = ev.seed_gains(batch, &mut ticker) else {
+            return Err((ticker.status(), (gains.len() + batch.len()) as u64));
+        };
+        gains.extend_from_slice(&batch_gains[..batch.len()]);
+    }
+    Ok(gains)
 }
 
 /// CELF is still seeding its queue with first-round gains.
@@ -601,18 +651,28 @@ fn keep_best(best: &mut Option<(f64, VertexId)>, gain: f64, u: VertexId) {
     }
 }
 
+/// One leg of the greedy engine. `seeded` holds the pool's empty-group
+/// gains from [`first_round_gains`] when the caller computed them once
+/// for many runs: the first round then reads them instead of running
+/// the seeding BFS, and still counts one evaluation per pool entry.
 pub(crate) fn greedy_leg<M: GroupMeasure>(
     g: &Graph,
     measure: M,
     k: usize,
     opts: &GreedyOptions,
+    seeded: Option<&[f64]>,
     budget: &ExecutionBudget,
     state: GreedyState,
 ) -> (GreedyOutcome, GreedyState) {
-    let pool: Vec<VertexId> = match &opts.candidates {
-        Some(c) => c.clone(),
-        None => g.vertices().collect(),
+    let all: Vec<VertexId>;
+    let pool: &[VertexId] = match &opts.candidates {
+        Some(c) => c,
+        None => {
+            all = g.vertices().collect();
+            &all
+        }
     };
+    debug_assert!(seeded.map_or(true, |gains| gains.len() == pool.len()));
     let k = k.min(pool.len());
     let mut state = state;
     if state.phase == PHASE_SEEDING && state.seed_cursor > pool.len() {
@@ -621,27 +681,20 @@ pub(crate) fn greedy_leg<M: GroupMeasure>(
         state = GreedyState::fresh();
     }
     let n = g.num_vertices();
-    let mut outcome = GreedyOutcome {
-        group: Vec::with_capacity(k),
-        score: measure.score(empty_total(measure, n), n),
-        gain_evaluations: 0,
-        lazy_skips: 0,
-        score_trace: Vec::with_capacity(k),
-        // Inherit an earlier sticky trip on the shared budget (e.g. a
-        // skyline phase that already timed out upstream).
-        completion: budget.status(),
-    };
+    // Inherit an earlier sticky trip on the shared budget.
+    let mut outcome = GreedyOutcome::unstarted(measure, n, 0, budget.status());
     if k == 0 {
         return (outcome, state);
     }
     // Evaluator scratch: dist_s/dist_u/stamp (u32) + in_group + queue,
     // plus the seen/frontier/next rows (u64) if this leg still scores
-    // the pool against the empty group.
-    let seeding = if opts.lazy {
-        state.phase == PHASE_SEEDING
-    } else {
-        state.group.is_empty()
-    };
+    // the pool against the empty group itself.
+    let seeding = seeded.is_none()
+        && if opts.lazy {
+            state.phase == PHASE_SEEDING
+        } else {
+            state.group.is_empty()
+        };
     let rows = if seeding { 24 } else { 0 };
     if let Some(status) = budget.charge(n * (17 + rows)) {
         outcome.completion = status;
@@ -669,7 +722,18 @@ pub(crate) fn greedy_leg<M: GroupMeasure>(
             });
         }
         let mut round = state.round;
-        if state.phase == PHASE_SEEDING {
+        if let Some(gains) = seeded.filter(|_| state.phase == PHASE_SEEDING) {
+            let from = state.seed_cursor;
+            outcome.gain_evaluations += (pool.len() - from) as u64;
+            // nsky-lint: allow(poll-reachability) — bounded: one queue entry per pool vertex
+            for (&vertex, &gain) in pool[from..].iter().zip(&gains[from..]) {
+                heap.push(HeapEntry {
+                    gain,
+                    vertex,
+                    round: 0,
+                });
+            }
+        } else if state.phase == PHASE_SEEDING {
             let from = state.seed_cursor;
             for (b, batch) in pool[from..].chunks(BATCH).enumerate() {
                 outcome.gain_evaluations += batch.len() as u64;
@@ -733,7 +797,13 @@ pub(crate) fn greedy_leg<M: GroupMeasure>(
     } else {
         'plain: while outcome.group.len() < k {
             let mut best: Option<(f64, VertexId)> = None;
-            if outcome.group.is_empty() {
+            if let Some(gains) = seeded.filter(|_| outcome.group.is_empty()) {
+                outcome.gain_evaluations += pool.len() as u64;
+                // nsky-lint: allow(poll-reachability) — bounded: one argmax step per pool vertex
+                for (&u, &gain) in pool.iter().zip(gains) {
+                    keep_best(&mut best, gain, u);
+                }
+            } else if outcome.group.is_empty() {
                 for batch in pool.chunks(BATCH) {
                     outcome.gain_evaluations += batch.len() as u64;
                     let Some(gains) = ev.seed_gains(batch, &mut ticker) else {
@@ -746,7 +816,7 @@ pub(crate) fn greedy_leg<M: GroupMeasure>(
                     }
                 }
             } else {
-                for &u in &pool {
+                for &u in pool {
                     if ev.in_group[u as usize] {
                         continue;
                     }
@@ -909,8 +979,9 @@ mod tests {
     fn seeding_trips_save_the_batch_start() {
         let g = erdos_renyi(130, 0.01, 43);
         let opts = GreedyOptions::optimized();
-        let leg =
-            |budget: &ExecutionBudget, state| greedy_leg(&g, Closeness, 2, &opts, budget, state);
+        let leg = |budget: &ExecutionBudget, state| {
+            greedy_leg(&g, Closeness, 2, &opts, None, budget, state)
+        };
         let (full, _) = leg(&ExecutionBudget::unlimited(), GreedyState::fresh());
         let mut cursors = std::collections::BTreeSet::new();
         // Seeding polls come first: trip at each until the rounds begin.
@@ -946,6 +1017,7 @@ mod tests {
             Harmonic,
             3,
             &opts,
+            None,
             &ExecutionBudget::unlimited(),
             GreedyState::fresh(),
         );
@@ -962,8 +1034,15 @@ mod tests {
                 round: 0,
                 entries,
             };
-            let (resumed, _) =
-                greedy_leg(&g, Harmonic, 3, &opts, &ExecutionBudget::unlimited(), state);
+            let (resumed, _) = greedy_leg(
+                &g,
+                Harmonic,
+                3,
+                &opts,
+                None,
+                &ExecutionBudget::unlimited(),
+                state,
+            );
             assert_eq!(resumed.group, full.group, "cursor {cursor}");
             assert_eq!(
                 resumed.score.to_bits(),

@@ -9,14 +9,21 @@
 //! marginal gain. (The intuition: a shortest path ending in `v` can be
 //! rerouted to end in `u` with the same length because every neighbor of
 //! `v` also neighbors `u`.)
+//!
+//! The greedy runs on a [`NeiSkyGroupInput`]: the skyline pool and its
+//! empty-group gains for one measure, the engine's whole first round.
+//! Both depend on the graph alone, so a caller that answers many queries
+//! on one graph builds them once and each run is only the later rounds.
 
 use crate::greedy::{
-    greedy_leg, record_greedy_counters, valid_greedy_state, GreedyOptions, GreedyOutcome,
-    GreedyState,
+    first_round_gains, greedy_leg, record_greedy_counters, valid_greedy_state, GreedyOptions,
+    GreedyOutcome, GreedyState,
 };
 use crate::measure::{Closeness, GroupMeasure, Harmonic};
-use nsky_graph::Graph;
+use nsky_graph::{Graph, VertexId};
+use nsky_skyline::budget::ExecutionBudget;
 use nsky_skyline::exec::{self, ExecutionContext};
+use nsky_skyline::obs::{Counter, Recorder};
 use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 use nsky_skyline::{filter_refine_sky_with, RefineConfig};
 
@@ -30,42 +37,131 @@ pub struct NeiSkyOutcome {
     pub skyline_size: usize,
 }
 
+/// The graph-only input of a skyline-restricted greedy for one measure:
+/// the exact skyline (the candidate pool, ascending) and every pool
+/// vertex's gain against the empty group. Build it with
+/// [`NeiSkyGroupInput::build`]; it is only meaningful for the graph it
+/// was built from.
+#[derive(Clone, Debug)]
+pub struct NeiSkyGroupInput<M> {
+    measure: M,
+    pool: Vec<VertexId>,
+    gains: Vec<f64>,
+}
+
+impl<M: GroupMeasure> NeiSkyGroupInput<M> {
+    /// Builds the input of `g` for `measure` under the context's budget,
+    /// inside one `"skyline"` recorder span. `skyline` is `g`'s exact
+    /// skyline when the caller already holds it; otherwise
+    /// FilterRefineSky computes it. The batched seeding BFS then scores
+    /// every skyline vertex against the empty group, charging 41
+    /// B/vertex first. A trip returns the run's partial answer as `Err`,
+    /// an empty group with the trip status, and flushes its counters
+    /// into the context's recorder as [`nei_sky_group_with`] would. A
+    /// partial skyline seeds nothing; a trip while seeding counts the
+    /// evaluations of the batches started. The build saves nothing
+    /// durable, so the context's resume and checkpoint slots are unused:
+    /// build before arming a checkpoint period.
+    pub fn build(
+        g: &Graph,
+        measure: M,
+        skyline: Option<&[VertexId]>,
+        ctx: &ExecutionContext<'_>,
+    ) -> Result<NeiSkyGroupInput<M>, NeiSkyOutcome> {
+        let rec = ctx.effective_recorder();
+        rec.phase_start("skyline");
+        let built = Self::build_under(g, measure, skyline, ctx.effective_budget());
+        rec.phase_end("skyline");
+        built.map_err(|partial| {
+            record_outcome(rec, &partial);
+            partial
+        })
+    }
+
+    fn build_under(
+        g: &Graph,
+        measure: M,
+        skyline: Option<&[VertexId]>,
+        budget: &ExecutionBudget,
+    ) -> Result<NeiSkyGroupInput<M>, NeiSkyOutcome> {
+        let unstarted = |evaluations, completion, skyline_size| NeiSkyOutcome {
+            greedy: GreedyOutcome::unstarted(measure, g.num_vertices(), evaluations, completion),
+            skyline_size,
+        };
+        let pool = match skyline {
+            Some(skyline) => skyline.to_vec(),
+            None => {
+                let sky = filter_refine_sky_with(
+                    g,
+                    &RefineConfig::default(),
+                    &mut ExecutionContext::new().budget(budget),
+                )
+                .outcome;
+                if !sky.completion.is_complete() {
+                    return Err(unstarted(0, sky.completion, sky.skyline.len()));
+                }
+                sky.skyline
+            }
+        };
+        match first_round_gains(g, measure, &pool, budget) {
+            Ok(gains) => Ok(NeiSkyGroupInput {
+                measure,
+                pool,
+                gains,
+            }),
+            Err((completion, evaluations)) => Err(unstarted(evaluations, completion, pool.len())),
+        }
+    }
+
+    /// The candidate pool: the exact skyline, ascending.
+    pub fn pool(&self) -> &[VertexId] {
+        &self.pool
+    }
+}
+
 /// Generic skyline-restricted greedy: computes `R` with
-/// `FilterRefineSky`, then runs the configured greedy engine over `R`.
+/// `FilterRefineSky` and its first-round gains, then runs the configured
+/// greedy engine over `R`.
 pub fn nei_sky_group<M: GroupMeasure>(
     g: &Graph,
     measure: M,
     k: usize,
     lazy: bool,
 ) -> NeiSkyOutcome {
-    nei_sky_group_with(g, measure, k, lazy, &mut ExecutionContext::new()).outcome
+    match NeiSkyGroupInput::build(g, measure, None, &ExecutionContext::new()) {
+        Ok(input) => nei_sky_group_with(g, &input, k, lazy, &mut ExecutionContext::new()).outcome,
+        // An unlimited budget never trips.
+        Err(partial) => partial,
+    }
 }
 
-/// The one entry point: [`nei_sky_group`] under an [`ExecutionContext`]
-/// — budget, cancellation, checkpoint/resume and observability in any
-/// combination. The recorder sees a `"skyline"` span around the pool
-/// computation, a `"greedy"` span around the selection rounds, and a
-/// bulk flush of the greedy evaluation counters plus the skyline size
-/// (as `candidates_emitted`) at exit. One budget is shared by the
-/// skyline computation and the greedy engine: a trip during the skyline
-/// phase restricts the pool to the partially verified skyline (still
-/// valid seeds, possibly missing the best ones); the sticky trip then
-/// stops the greedy engine within one check interval, so the outcome
-/// carries the trip status and whatever greedy prefix was committed.
-/// When checkpointing, only the greedy engine's progress is persisted —
-/// the skyline pool is recomputed on every resume (it is a pure
-/// function of the graph), and a leg that trips during the skyline
-/// phase makes no durable progress (a partial pool cannot anchor the
-/// saved cursor/queue); the checkpoint driver's period backoff
-/// guarantees the phase eventually completes in one leg.
+/// The one entry point: [`nei_sky_group`]'s greedy on a prepared
+/// `input` built from `g`, under an [`ExecutionContext`] — budget,
+/// cancellation, checkpoint/resume and observability in any
+/// combination. The first round reads the input's gains; every later
+/// round runs the configured engine. The recorder sees a `"greedy"`
+/// span around the selection rounds and a bulk flush of the evaluation
+/// counters plus the skyline size (as `candidates_emitted`) at exit.
+/// `gain_evaluations` still counts the first round, one evaluation per
+/// pool vertex, so complete runs keep the `k(2r − k + 1)/2` identity.
+/// The run charges only the evaluator (17 B/vertex): the seeding rows
+/// belong to the build. After a budget trip the outcome carries the
+/// trip status and the committed greedy prefix; when checkpointing,
+/// only the greedy engine's progress is persisted.
 pub fn nei_sky_group_with<M: GroupMeasure>(
     g: &Graph,
-    measure: M,
+    input: &NeiSkyGroupInput<M>,
     k: usize,
     lazy: bool,
     ctx: &mut ExecutionContext<'_>,
 ) -> ResumableRun<NeiSkyOutcome> {
     let rec = ctx.effective_recorder();
+    let skyline_size = input.pool.len();
+    let opts = GreedyOptions {
+        lazy,
+        pruned_bfs: lazy,
+        candidates: Some(input.pool.clone()),
+    };
     let run = exec::drive(
         ctx,
         || g.fingerprint(),
@@ -74,24 +170,9 @@ pub fn nei_sky_group_with<M: GroupMeasure>(
             if !valid_greedy_state(g, &state.0) {
                 state = NeiSkyGroupState(GreedyState::fresh());
             }
-            rec.phase_start("skyline");
-            let sky = filter_refine_sky_with(
-                g,
-                &RefineConfig::default(),
-                &mut ExecutionContext::new().budget(budget),
-            )
-            .outcome;
-            rec.phase_end("skyline");
-            let skyline_size = sky.skyline.len();
-            let opts = GreedyOptions {
-                lazy,
-                pruned_bfs: lazy,
-                candidates: Some(sky.skyline),
-            };
-            // On a skyline-phase trip the sticky status makes greedy_leg
-            // return immediately with the state untouched.
             rec.phase_start("greedy");
-            let (greedy, inner) = greedy_leg(g, measure, k, &opts, budget, state.0);
+            let seeded = Some(input.gains.as_slice());
+            let (greedy, inner) = greedy_leg(g, input.measure, k, &opts, seeded, budget, state.0);
             rec.phase_end("greedy");
             let completion = greedy.completion;
             (
@@ -104,12 +185,15 @@ pub fn nei_sky_group_with<M: GroupMeasure>(
             )
         },
     );
-    record_greedy_counters(rec, &run.outcome.greedy);
-    rec.add(
-        nsky_skyline::obs::Counter::CandidatesEmitted,
-        run.outcome.skyline_size as u64,
-    );
+    record_outcome(rec, &run.outcome);
     run
+}
+
+/// Flushes a finished run's counters: the greedy evaluation counters
+/// and the skyline size.
+fn record_outcome(rec: &dyn Recorder, out: &NeiSkyOutcome) {
+    record_greedy_counters(rec, &out.greedy);
+    rec.add(Counter::CandidatesEmitted, out.skyline_size as u64);
 }
 
 /// Resume state of an interrupted skyline-restricted greedy run: the
@@ -269,6 +353,70 @@ mod tests {
         let r = pruned.skyline_size as u64;
         let kk = k as u64;
         assert_eq!(pruned.greedy.gain_evaluations, kk * (2 * r - kk + 1) / 2);
+    }
+
+    #[test]
+    fn build_trips_answer_like_the_unseeded_engine() {
+        // A trip in the build's FilterRefineSky seeds nothing; a trip in
+        // its gains answers as the from-scratch engine's seeding does
+        // when the same poll trips it: the same counted evaluations, no
+        // group, the empty group's score.
+        use crate::greedy::greedy_group_with;
+        use nsky_skyline::budget::{Completion, ExecutionBudget, TripClock};
+        use std::sync::Arc;
+        let trip_at = |k| {
+            let clock = Arc::new(TripClock::at_poll(k));
+            let budget = ExecutionBudget::unlimited()
+                .deadline(Arc::clone(&clock))
+                .check_interval(1);
+            (budget, clock)
+        };
+        // 130 vertices, a pool of more than one 64-source batch.
+        let g = erdos_renyi(130, 0.02, 5);
+        let cfg = RefineConfig::default();
+        let (budget, clock) = trip_at(u64::MAX);
+        let skyline =
+            filter_refine_sky_with(&g, &cfg, &mut ExecutionContext::new().budget(&budget))
+                .outcome
+                .skyline;
+        let frs = clock.polls();
+        assert!(skyline.len() > 64, "pool of {}", skyline.len());
+        let (budget, clock) = trip_at(u64::MAX);
+        let built =
+            NeiSkyGroupInput::build(&g, Harmonic, None, &ExecutionContext::new().budget(&budget));
+        assert!(built.is_ok_and(|input| input.pool() == skyline));
+        let total = clock.polls();
+        let opts = GreedyOptions {
+            lazy: true,
+            pruned_bfs: true,
+            candidates: Some(skyline.clone()),
+        };
+        for k in 1..=total {
+            let (budget, _) = trip_at(k);
+            let ctx = ExecutionContext::new().budget(&budget);
+            let Err(partial) = NeiSkyGroupInput::build(&g, Harmonic, None, &ctx) else {
+                panic!("k={k}: the build completed");
+            };
+            let expected = if k <= frs {
+                let (budget, _) = trip_at(k);
+                let mut ctx = ExecutionContext::new().budget(&budget);
+                let sky = filter_refine_sky_with(&g, &cfg, &mut ctx).outcome;
+                assert_eq!(partial.skyline_size, sky.skyline.len(), "k={k}");
+                GreedyOutcome::unstarted(Harmonic, g.num_vertices(), 0, sky.completion)
+            } else {
+                assert_eq!(partial.skyline_size, skyline.len(), "k={k}");
+                let (budget, _) = trip_at(k - frs);
+                let mut ctx = ExecutionContext::new().budget(&budget);
+                greedy_group_with(&g, Harmonic, 3, &opts, &mut ctx).outcome
+            };
+            let got = &partial.greedy;
+            assert_eq!(got.completion, Completion::DeadlineExceeded, "k={k}");
+            assert_eq!(got.completion, expected.completion, "k={k}");
+            assert_eq!(got.group, expected.group, "k={k}");
+            assert_eq!(got.score.to_bits(), expected.score.to_bits(), "k={k}");
+            assert_eq!(got.gain_evaluations, expected.gain_evaluations, "k={k}");
+            assert_eq!(got.lazy_skips, expected.lazy_skips, "k={k}");
+        }
     }
 
     #[test]

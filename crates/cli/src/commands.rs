@@ -1,11 +1,14 @@
 //! The `nsky` subcommands.
 
 use crate::args::Args;
+use nsky_centrality::neisky::{nei_sky_group_with, NeiSkyGroupInput, NeiSkyOutcome};
 use nsky_graph::{io, Graph, VertexId};
 use nsky_skyline::budget::{Completion, DeadlineClock, ExecutionBudget, TripClock, WallDeadline};
 use nsky_skyline::exec::ExecutionContext;
 use nsky_skyline::obs::{CountingRecorder, Recorder, RunReport};
-use nsky_skyline::snapshot::{Checkpointer, FileCheckpointer, RecoveryError, Snapshot};
+use nsky_skyline::snapshot::{
+    Checkpointer, FileCheckpointer, RecoveryError, ResumableRun, Snapshot,
+};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -470,6 +473,41 @@ fn context_from<'a>(
     ctx.checkpoint(ck.sink())
 }
 
+/// The context a NeiSky input is built under: the command's budget and
+/// recorder. The build saves nothing to resume, so it runs before
+/// [`checkpoint_from`] arms the checkpoint period.
+fn build_context<'a>(budget: &'a ExecutionBudget, metrics: &'a Metrics) -> ExecutionContext<'a> {
+    let ctx = ExecutionContext::new().budget(budget);
+    match metrics.recorder() {
+        Some(rec) => ctx.recorder(rec),
+        None => ctx,
+    }
+}
+
+/// A tripped input build's partial answer, as a run with no state to
+/// save.
+fn unsaved<T>(outcome: T) -> ResumableRun<T> {
+    ResumableRun {
+        outcome,
+        snapshot: None,
+        recovery: None,
+    }
+}
+
+/// NeiSkyGC/NeiSkyGH on a built input, or a tripped build's partial
+/// answer.
+fn nei_sky_group_run<M: nsky_centrality::measure::GroupMeasure>(
+    g: &Graph,
+    built: Result<NeiSkyGroupInput<M>, NeiSkyOutcome>,
+    k: usize,
+    ctx: &mut ExecutionContext<'_>,
+) -> ResumableRun<NeiSkyOutcome> {
+    match built {
+        Ok(input) => nei_sky_group_with(g, &input, k, true, ctx),
+        Err(partial) => unsaved(partial),
+    }
+}
+
 fn maybe_write(args: &Args, g: &Graph) -> Result<String, CliError> {
     match args.get("output") {
         None => Ok(String::new()),
@@ -617,26 +655,30 @@ pub(crate) fn group(args: &Args) -> Result<CmdOut, CliError> {
         "closeness" | "harmonic" => {
             use nsky_centrality::greedy::{greedy_group_with, GreedyOptions};
             use nsky_centrality::measure::{Closeness, Harmonic};
-            use nsky_centrality::neisky::nei_sky_group_with;
             let (budget, report) = budget_from(args)?;
+            metrics.phase_start("run");
+            let build_ctx = build_context(&budget, &metrics);
+            let closeness = (prune && measure == "closeness")
+                .then(|| NeiSkyGroupInput::build(&g, Closeness, None, &build_ctx));
+            let harmonic = (prune && measure == "harmonic")
+                .then(|| NeiSkyGroupInput::build(&g, Harmonic, None, &build_ctx));
             let mut ck = checkpoint_from(args, &budget)?;
             let resume = ck.resume.take();
             let opts = GreedyOptions::optimized();
-            metrics.phase_start("run");
             let (label, result, recovery, snapshot) = {
                 let mut ctx = context_from(&budget, resume.as_ref(), &mut ck, &metrics);
-                match (measure, prune) {
-                    ("closeness", true) => {
-                        let run = nei_sky_group_with(&g, Closeness, k, true, &mut ctx);
+                match (closeness, harmonic, measure) {
+                    (Some(built), _, _) => {
+                        let run = nei_sky_group_run(&g, built, k, &mut ctx);
                         ("NeiSkyGC", run.outcome.greedy, run.recovery, run.snapshot)
                     }
-                    ("closeness", false) => {
+                    (_, Some(built), _) => {
+                        let run = nei_sky_group_run(&g, built, k, &mut ctx);
+                        ("NeiSkyGH", run.outcome.greedy, run.recovery, run.snapshot)
+                    }
+                    (_, _, "closeness") => {
                         let run = greedy_group_with(&g, Closeness, k, &opts, &mut ctx);
                         ("Greedy++", run.outcome, run.recovery, run.snapshot)
-                    }
-                    ("harmonic", true) => {
-                        let run = nei_sky_group_with(&g, Harmonic, k, true, &mut ctx);
-                        ("NeiSkyGH", run.outcome.greedy, run.recovery, run.snapshot)
                     }
                     _ => {
                         let run = greedy_group_with(&g, Harmonic, k, &opts, &mut ctx);
@@ -692,15 +734,20 @@ pub(crate) fn clique(args: &Args) -> Result<CmdOut, CliError> {
     let top: usize = args.number("top", 1)?;
     let prune = !args.switch("no-prune");
     let (budget, report) = budget_from(args)?;
+    metrics.phase_start("run");
+    let built = (top <= 1 && prune)
+        .then(|| nsky_clique::NeiSkyMcInput::build(&g, None, &build_context(&budget, &metrics)));
     let mut ck = checkpoint_from(args, &budget)?;
     let resume = ck.resume.take();
     let mut out = String::new();
-    metrics.phase_start("run");
     let (kernel, completion, recovery, snapshot) = if top <= 1 {
         let (label, c, completion, recovery, snapshot) = {
             let mut ctx = context_from(&budget, resume.as_ref(), &mut ck, &metrics);
-            if prune {
-                let run = nsky_clique::nei_sky_mc_with(&g, &mut ctx);
+            if let Some(built) = built {
+                let run = match built {
+                    Ok(input) => nsky_clique::nei_sky_mc_with(&g, &input, &mut ctx),
+                    Err(partial) => unsaved(partial),
+                };
                 let o = run.outcome;
                 (
                     "NeiSkyMC",

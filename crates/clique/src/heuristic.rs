@@ -1,7 +1,6 @@
 //! Degeneracy-guided greedy lower bound (the near-linear heuristic stage
 //! of MC-BRB-style solvers).
 
-use nsky_graph::degeneracy::core_decomposition;
 use nsky_graph::{Graph, VertexId};
 
 /// Greedy clique grown from `start`: scans `start`'s neighbors in
@@ -21,32 +20,35 @@ fn grow_from(g: &Graph, core: &[u32], start: VertexId) -> Vec<VertexId> {
 }
 
 /// A fast heuristic clique: greedy growth from the `tries`
-/// highest-core-number vertices, keeping the best. Runs in roughly
-/// `O(tries · dmax²·log dmax + n + m)` and provides the initial lower
-/// bound for the exact solvers.
+/// highest-core-number vertices, keeping the best. `core` holds every
+/// vertex's core number (`core_decomposition(g).core`): the exact
+/// solvers pass the decomposition they already computed. Runs in
+/// roughly `O(tries · dmax²·log dmax + n log n)` and provides their
+/// initial lower bound.
 ///
 /// # Examples
 ///
 /// ```
+/// use nsky_graph::degeneracy::core_decomposition;
 /// use nsky_graph::generators::special::clique;
 /// use nsky_clique::heuristic_clique;
 ///
 /// // On a clique the heuristic is already exact.
-/// assert_eq!(heuristic_clique(&clique(7), 4).len(), 7);
+/// let g = clique(7);
+/// assert_eq!(heuristic_clique(&g, &core_decomposition(&g).core, 4).len(), 7);
 /// ```
-pub fn heuristic_clique(g: &Graph, tries: usize) -> Vec<VertexId> {
+pub fn heuristic_clique(g: &Graph, core: &[u32], tries: usize) -> Vec<VertexId> {
     if g.num_vertices() == 0 {
         return Vec::new();
     }
-    let deco = core_decomposition(g);
     let mut starts: Vec<VertexId> = g.vertices().collect();
-    starts.sort_by_key(|&u| std::cmp::Reverse(deco.core[u as usize]));
+    starts.sort_by_key(|&u| std::cmp::Reverse(core[u as usize]));
     let mut best: Vec<VertexId> = Vec::new();
     for &s in starts.iter().take(tries.max(1)) {
-        if (deco.core[s as usize] + 1) as usize <= best.len() {
+        if (core[s as usize] + 1) as usize <= best.len() {
             break; // sorted by core: nothing further can beat best
         }
-        let c = grow_from(g, &deco.core, s);
+        let c = grow_from(g, core, s);
         if c.len() > best.len() {
             best = c;
         }
@@ -58,14 +60,19 @@ pub fn heuristic_clique(g: &Graph, tries: usize) -> Vec<VertexId> {
 mod tests {
     use super::*;
     use crate::is_clique;
+    use nsky_graph::degeneracy::core_decomposition;
     use nsky_graph::generators::erdos_renyi;
     use nsky_graph::generators::special::{cycle, path, star};
+
+    fn heuristic(g: &Graph, tries: usize) -> Vec<VertexId> {
+        heuristic_clique(g, &core_decomposition(g).core, tries)
+    }
 
     #[test]
     fn returns_valid_cliques() {
         for seed in 0..6 {
             let g = erdos_renyi(100, 0.1, seed);
-            let c = heuristic_clique(&g, 8);
+            let c = heuristic(&g, 8);
             assert!(!c.is_empty());
             assert!(is_clique(&g, &c), "seed {seed}: {c:?}");
         }
@@ -73,11 +80,11 @@ mod tests {
 
     #[test]
     fn special_families() {
-        assert_eq!(heuristic_clique(&path(6), 3).len(), 2);
-        assert_eq!(heuristic_clique(&cycle(6), 3).len(), 2);
-        assert_eq!(heuristic_clique(&star(6), 3).len(), 2);
-        assert!(heuristic_clique(&Graph::empty(0), 3).is_empty());
-        assert_eq!(heuristic_clique(&Graph::empty(4), 3).len(), 1);
+        assert_eq!(heuristic(&path(6), 3).len(), 2);
+        assert_eq!(heuristic(&cycle(6), 3).len(), 2);
+        assert_eq!(heuristic(&star(6), 3).len(), 2);
+        assert!(heuristic(&Graph::empty(0), 3).is_empty());
+        assert_eq!(heuristic(&Graph::empty(4), 3).len(), 1);
     }
 
     #[test]
@@ -90,6 +97,6 @@ mod tests {
             }
         }
         let g = Graph::from_edges(30, edges);
-        assert_eq!(heuristic_clique(&g, 8).len(), 6);
+        assert_eq!(heuristic(&g, 8).len(), 6);
     }
 }

@@ -11,7 +11,8 @@
 //! * [`neisky`] — `NeiSkyMC` (paper Algorithm 5): root branches
 //!   restricted to skyline vertices, justified by Lemma 5 (every graph
 //!   has a maximum clique containing a skyline vertex: a dominated
-//!   member can be swapped for its dominator);
+//!   member can be swapped for its dominator), run on a prepared input
+//!   that a caller can build once per graph;
 //! * [`topk`] — round-based top-k maximum cliques (`BaseTopkMCC` /
 //!   `NeiSkyTopkMCC` with incremental skyline maintenance);
 //! * [`mis`] — the introduction's first application of neighborhood
@@ -31,7 +32,7 @@ pub mod topk;
 pub use bnb::{max_clique_bnb, max_clique_bnb_with, max_clique_containing, CliqueRun, CliqueStats};
 pub use heuristic::heuristic_clique;
 pub use mcbrb::{mc_brb, mc_brb_with};
-pub use neisky::{nei_sky_mc, nei_sky_mc_with};
+pub use neisky::{nei_sky_mc, nei_sky_mc_with, NeiSkyMcInput};
 pub use topk::{top_k_cliques, top_k_cliques_with, TopkMode, TopkOutcome};
 
 use nsky_graph::{Graph, VertexId};

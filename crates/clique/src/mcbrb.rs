@@ -115,10 +115,13 @@ fn mcbrb_leg(g: &Graph, budget: &ExecutionBudget, state: McBrbState) -> (CliqueR
         return (run, state);
     }
     let start = state.cursor;
+    // One core decomposition orders the roots, prunes them and guides
+    // the heuristic.
+    let deco = core_decomposition(g);
     // A genuine snapshot is taken after the heuristic, so a resumed
     // incumbent is never smaller than the heuristic would produce.
     let mut best = if state.best.is_empty() {
-        heuristic_clique(g, 16)
+        heuristic_clique(g, &deco.core, 16)
     } else {
         state.best
     };
@@ -138,7 +141,6 @@ fn mcbrb_leg(g: &Graph, budget: &ExecutionBudget, state: McBrbState) -> (CliqueR
             },
         );
     }
-    let deco = core_decomposition(g);
     let mut ticker = budget.ticker();
 
     // Process vertices in degeneracy order; u's candidates are its

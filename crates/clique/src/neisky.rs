@@ -8,6 +8,11 @@
 //! domination order, some maximum clique contains a *skyline* vertex —
 //! so searching only the ego networks of skyline vertices finds a
 //! maximum clique.
+//!
+//! The search runs on a [`NeiSkyMcInput`]: the exact skyline in
+//! degeneracy order, the core numbers and the heuristic floor. All three
+//! depend on the graph alone, so a caller that answers many queries on
+//! one graph builds them once and each run is only the seed loop.
 
 use crate::bnb::{max_clique_containing, record_clique_stats, valid_clique, CliqueStats};
 use crate::heuristic::heuristic_clique;
@@ -15,8 +20,9 @@ use nsky_graph::degeneracy::core_decomposition;
 use nsky_graph::{Graph, VertexId};
 use nsky_skyline::budget::{Completion, ExecutionBudget};
 use nsky_skyline::exec::{self, ExecutionContext};
+use nsky_skyline::obs::{Counter, Recorder};
 use nsky_skyline::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
-use nsky_skyline::{filter_refine_sky_with, RefineConfig};
+use nsky_skyline::{filter_refine_sky, filter_refine_sky_with, RefineConfig};
 
 /// Outcome of [`nei_sky_mc`].
 #[derive(Clone, Debug)]
@@ -31,6 +37,77 @@ pub struct NeiSkyMcOutcome {
     pub skyline_size: usize,
     /// How the run ended.
     pub completion: Completion,
+}
+
+/// NeiSkyMC's graph-only input: the exact skyline ordered by degeneracy
+/// position (the root seeds), every vertex's core number, and the
+/// heuristic clique the search starts from. Build it with
+/// [`NeiSkyMcInput::new`] or [`NeiSkyMcInput::build`]; it is only
+/// meaningful for the graph it was built from.
+#[derive(Clone, Debug)]
+pub struct NeiSkyMcInput {
+    seeds: Vec<VertexId>,
+    core: Vec<u32>,
+    floor: Vec<VertexId>,
+}
+
+impl NeiSkyMcInput {
+    /// The input of `g` from its exact `skyline` (in any order): one
+    /// core decomposition and one heuristic clique.
+    pub fn new(g: &Graph, skyline: &[VertexId]) -> NeiSkyMcInput {
+        let deco = core_decomposition(g);
+        let mut seeds = skyline.to_vec();
+        seeds.sort_by_key(|&u| deco.position[u as usize]);
+        let floor = heuristic_clique(g, &deco.core, 16);
+        NeiSkyMcInput {
+            seeds,
+            core: deco.core,
+            floor,
+        }
+    }
+
+    /// Builds the input of `g` under the context's budget. `skyline` is
+    /// `g`'s exact skyline when the caller already holds it; otherwise
+    /// FilterRefineSky computes it. A trip there returns the run's
+    /// partial answer as `Err`: a partial skyline cannot soundly seed
+    /// the root searches (a missing skyline vertex could hide the
+    /// maximum clique), so the answer is the heuristic clique, with the
+    /// trip status and the partial skyline's size, and its counters are
+    /// flushed into the context's recorder as [`nei_sky_mc_with`] would.
+    /// The build saves nothing durable, so the context's resume and
+    /// checkpoint slots are unused: build before arming a checkpoint
+    /// period.
+    pub fn build(
+        g: &Graph,
+        skyline: Option<&[VertexId]>,
+        ctx: &ExecutionContext<'_>,
+    ) -> Result<NeiSkyMcInput, NeiSkyMcOutcome> {
+        if let Some(skyline) = skyline {
+            return Ok(NeiSkyMcInput::new(g, skyline));
+        }
+        let sky = filter_refine_sky_with(
+            g,
+            &RefineConfig::default(),
+            &mut ExecutionContext::new().budget(ctx.effective_budget()),
+        )
+        .outcome;
+        if sky.completion.is_complete() {
+            return Ok(NeiSkyMcInput::new(g, &sky.skyline));
+        }
+        let partial = NeiSkyMcOutcome {
+            clique: heuristic_clique(g, &core_decomposition(g).core, 16),
+            stats: CliqueStats::default(),
+            skyline_size: sky.skyline.len(),
+            completion: sky.completion,
+        };
+        record_outcome(ctx.effective_recorder(), &partial);
+        Err(partial)
+    }
+
+    /// The root seeds: the exact skyline, in degeneracy order.
+    pub fn seeds(&self) -> &[VertexId] {
+        &self.seeds
+    }
 }
 
 /// Exact maximum clique with skyline-restricted roots.
@@ -50,20 +127,26 @@ pub struct NeiSkyMcOutcome {
 /// assert_eq!(nei_sky_mc(&g).clique.len(), mc_brb(&g).0.len());
 /// ```
 pub fn nei_sky_mc(g: &Graph) -> NeiSkyMcOutcome {
-    nei_sky_mc_with(g, &mut ExecutionContext::new()).outcome
+    let skyline = filter_refine_sky(g, &RefineConfig::default()).skyline;
+    let input = NeiSkyMcInput::new(g, &skyline);
+    nei_sky_mc_with(g, &input, &mut ExecutionContext::new()).outcome
 }
 
-/// The one entry point: [`nei_sky_mc`] under an [`ExecutionContext`] —
-/// budget, cancellation, checkpoint/resume and observability in any
+/// The one entry point: [`nei_sky_mc`]'s seed loop on a prepared
+/// `input` built from `g`, under an [`ExecutionContext`] — budget,
+/// cancellation, checkpoint/resume and observability in any
 /// combination. The recorder sees one `"neisky_mc"` span around the
-/// whole run plus a bulk flush of the run's [`CliqueStats`] and the
-/// skyline size (as `candidates_emitted`) at exit. If the budget trips
-/// during the *skyline* computation the partial skyline cannot soundly
-/// seed the root searches (a missing skyline vertex could hide the
-/// maximum clique), so the heuristic clique is returned directly with
-/// the trip status; a trip during the search phase returns the best
-/// clique found so far.
-pub fn nei_sky_mc_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> ResumableRun<NeiSkyMcOutcome> {
+/// search plus a bulk flush of the run's [`CliqueStats`] and the
+/// skyline size (as `candidates_emitted`) at exit. The run charges its
+/// per-seed exclusion mask (1 B/vertex) before allocating it; after a
+/// trip the returned clique is the best found so far, never smaller
+/// than the input's heuristic floor.
+pub fn nei_sky_mc_with(
+    g: &Graph,
+    input: &NeiSkyMcInput,
+    ctx: &mut ExecutionContext<'_>,
+) -> ResumableRun<NeiSkyMcOutcome> {
+    debug_assert_eq!(input.core.len(), g.num_vertices());
     let rec = ctx.effective_recorder();
     rec.phase_start("neisky_mc");
     let run = exec::drive(
@@ -74,27 +157,28 @@ pub fn nei_sky_mc_with(g: &Graph, ctx: &mut ExecutionContext<'_>) -> ResumableRu
             if !valid_clique(g, &state.best) || state.cursor > g.num_vertices() {
                 state = NeiSkyState::fresh();
             }
-            let (out, state) = neisky_leg(g, budget, state);
+            let (out, state) = neisky_leg(g, input, budget, state);
             let completion = out.completion;
             (out, state, completion)
         },
     );
     rec.phase_end("neisky_mc");
-    record_clique_stats(rec, &run.outcome.stats);
-    rec.add(
-        nsky_skyline::obs::Counter::CandidatesEmitted,
-        run.outcome.skyline_size as u64,
-    );
+    record_outcome(rec, &run.outcome);
     run
 }
 
+/// Flushes a finished run's counters: the clique stats and the skyline
+/// size.
+fn record_outcome(rec: &dyn Recorder, out: &NeiSkyMcOutcome) {
+    record_clique_stats(rec, &out.stats);
+    rec.add(Counter::CandidatesEmitted, out.skyline_size as u64);
+}
+
 /// Resume state of an interrupted [`nei_sky_mc`] run: the best clique
-/// found so far plus the index of the next seed in the (deterministic)
-/// skyline-by-degeneracy-position seed order. The skyline itself, the
-/// seed order, and the `allowed` exclusion mask are recomputed on resume
-/// — they are pure functions of the graph and the cursor. A trip during
-/// the skyline phase leaves the state untouched (nothing durable has
-/// happened yet), so that phase simply re-runs.
+/// found so far plus the index of the next seed in the input's
+/// (deterministic) skyline-by-degeneracy-position seed order. The
+/// `allowed` exclusion mask is a pure function of the seeds and the
+/// cursor, so it is rebuilt on resume rather than stored.
 struct NeiSkyState {
     best: Vec<VertexId>,
     cursor: usize,
@@ -129,6 +213,7 @@ impl KernelState for NeiSkyState {
 
 fn neisky_leg(
     g: &Graph,
+    input: &NeiSkyMcInput,
     budget: &ExecutionBudget,
     state: NeiSkyState,
 ) -> (NeiSkyMcOutcome, NeiSkyState) {
@@ -142,42 +227,33 @@ fn neisky_leg(
         };
         return (out, state);
     }
-    let sky = filter_refine_sky_with(
-        g,
-        &RefineConfig::default(),
-        &mut ExecutionContext::new().budget(budget),
-    )
-    .outcome;
-    if !sky.completion.is_complete() {
-        let mut best = if state.best.is_empty() {
-            heuristic_clique(g, 16)
-        } else {
-            state.best.clone()
-        };
-        best.sort_unstable();
-        let out = NeiSkyMcOutcome {
-            clique: best,
-            stats,
-            skyline_size: sky.skyline.len(),
-            completion: sky.completion,
-        };
-        return (out, state);
-    }
-    let skyline = sky.skyline;
-    let skyline_size = skyline.len();
-    let deco = core_decomposition(g);
-    let mut seeds = skyline;
-    seeds.sort_by_key(|&u| deco.position[u as usize]);
-
+    let seeds = &input.seeds;
+    let skyline_size = seeds.len();
     // A cursor beyond the seed list cannot come from a genuine snapshot;
     // degrade to a fresh search rather than skipping every seed.
     let corrupt = state.cursor > seeds.len();
     let start = if corrupt { 0 } else { state.cursor };
     let mut best = if corrupt || state.best.is_empty() {
-        heuristic_clique(g, 16)
+        input.floor.clone()
     } else {
         state.best
     };
+    if let Some(status) = budget.charge(g.num_vertices()) {
+        best.sort_unstable();
+        let out = NeiSkyMcOutcome {
+            clique: best.clone(),
+            stats,
+            skyline_size,
+            completion: status,
+        };
+        return (
+            out,
+            NeiSkyState {
+                best,
+                cursor: start,
+            },
+        );
+    }
     let mut ticker = budget.ticker();
     let mut allowed = vec![true; g.num_vertices()];
     for &u in seeds.iter().take(start) {
@@ -195,7 +271,7 @@ fn neisky_leg(
             return (out, NeiSkyState { best, cursor: idx });
         }
         allowed[u as usize] = false; // exclude this seed from later runs
-        if (deco.core[u as usize] + 1) as usize <= best.len() {
+        if (input.core[u as usize] + 1) as usize <= best.len() {
             stats.skyline_prunes += 1;
             continue;
         }
@@ -280,6 +356,52 @@ mod tests {
                 assert!(is_clique(&g, &swapped), "swap {v}→{u} broke the clique");
             }
         }
+    }
+
+    #[test]
+    fn build_trips_answer_with_the_heuristic_clique() {
+        // Every poll of the input build is a FilterRefineSky poll: a
+        // trip at any of them answers with the heuristic clique, the
+        // trip status and the partial skyline's size, and fills nothing.
+        use nsky_skyline::budget::TripClock;
+        use std::sync::Arc;
+        let g = chung_lu_power_law(80, 2.6, 6.0, 31);
+        let heuristic = heuristic_clique(&g, &core_decomposition(&g).core, 16);
+        let trip_at = |k| {
+            let clock = Arc::new(TripClock::at_poll(k));
+            let budget = ExecutionBudget::unlimited()
+                .deadline(Arc::clone(&clock))
+                .check_interval(1);
+            (budget, clock)
+        };
+        let (budget, clock) = trip_at(u64::MAX);
+        let built = NeiSkyMcInput::build(&g, None, &ExecutionContext::new().budget(&budget));
+        assert!(built.is_ok());
+        let total = clock.polls();
+        assert!(total > 4, "{total} polls");
+        for k in 1..=total {
+            let (budget, _) = trip_at(k);
+            let ctx = ExecutionContext::new().budget(&budget);
+            let Err(partial) = NeiSkyMcInput::build(&g, None, &ctx) else {
+                panic!("k={k}: the build completed");
+            };
+            let (budget, _) = trip_at(k);
+            let sky = filter_refine_sky_with(
+                &g,
+                &RefineConfig::default(),
+                &mut ExecutionContext::new().budget(&budget),
+            )
+            .outcome;
+            assert_eq!(partial.clique, heuristic, "k={k}");
+            assert_eq!(partial.stats, CliqueStats::default(), "k={k}");
+            assert_eq!(partial.skyline_size, sky.skyline.len(), "k={k}");
+            assert_eq!(partial.completion, Completion::DeadlineExceeded, "k={k}");
+        }
+        // A known skyline skips FilterRefineSky: nothing left to trip.
+        let skyline = filter_refine_sky(&g, &RefineConfig::default()).skyline;
+        let (budget, _) = trip_at(1);
+        let ctx = ExecutionContext::new().budget(&budget);
+        assert!(NeiSkyMcInput::build(&g, Some(&skyline), &ctx).is_ok());
     }
 
     #[test]

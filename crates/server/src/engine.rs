@@ -5,16 +5,18 @@
 //! optional memory cap, the request's own [`CancelToken`] child) and runs
 //! at most one `*_with` kernel under it, so a tripped budget degrades to
 //! an anytime partial answer — never an error — and a client disconnect
-//! cancels only its own request. A default `skyline` read runs no kernel
-//! once its graph's [`SkylineCache`] holds the exact skyline.
+//! cancels only its own request. A graph's [`EpochCache`] holds what
+//! depends on that graph alone: a default `skyline` read runs no kernel
+//! once it holds the exact skyline, and `clique`/`group` run only their
+//! search once it holds their prepared inputs.
 
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use nsky_centrality::measure::{Closeness, Harmonic};
-use nsky_centrality::neisky::nei_sky_group_with;
+use nsky_centrality::measure::{Closeness, GroupMeasure, Harmonic};
+use nsky_centrality::neisky::{nei_sky_group_with, NeiSkyGroupInput, NeiSkyOutcome};
 use nsky_clique::mcbrb::mc_brb_with;
-use nsky_clique::neisky::nei_sky_mc_with;
+use nsky_clique::neisky::{nei_sky_mc_with, NeiSkyMcInput};
 use nsky_graph::{EdgeDelta, Graph, VertexId};
 use nsky_skyline::budget::{CancelToken, ExecutionBudget, TripClock};
 use nsky_skyline::obs::CountingRecorder;
@@ -38,19 +40,19 @@ pub struct QueryOutcome {
     pub result: Value,
 }
 
-/// One graph's exact skyline, its id array rendered once as JSON.
-/// Cloning it is an `Arc` clone.
-#[derive(Debug, Clone)]
+/// One graph's exact skyline: the ids, ascending, and their array
+/// rendered once as JSON.
+#[derive(Debug)]
 pub struct EpochSkyline {
+    ids: Vec<VertexId>,
     array: Rendered,
-    size: usize,
 }
 
 impl EpochSkyline {
-    fn new(skyline: &[VertexId]) -> EpochSkyline {
+    fn new(skyline: Vec<VertexId>) -> EpochSkyline {
         EpochSkyline {
-            array: Rendered::new(&ids(skyline)),
-            size: skyline.len(),
+            array: Rendered::new(&ids(&skyline)),
+            ids: skyline,
         }
     }
 
@@ -58,15 +60,35 @@ impl EpochSkyline {
     fn result(&self) -> Value {
         json::obj(vec![
             ("skyline", Value::Raw(self.array.clone())),
-            ("size", json::num(self.size as u64)),
+            ("size", json::num(self.ids.len() as u64)),
         ])
     }
 }
 
-/// A published graph's fill-once skyline. Only a complete
-/// FilterRefineSky run on that graph, or the update engine's exact
-/// skyline for it, fills the cache.
-pub type SkylineCache = OnceLock<EpochSkyline>;
+/// A published graph's derived state: fill-once cells for its exact
+/// skyline and for the prepared inputs of NeiSkyMC and of NeiSkyGC /
+/// NeiSkyGH, each a pure function of the graph. Only a complete
+/// computation on that graph fills a cell, and a partial one never
+/// does: the update engine's exact skyline at publish, or a complete
+/// build under the budget of the first request that needs the cell.
+/// Two racing first requests may both compute; the cell keeps one of
+/// their (identical) values.
+#[derive(Debug, Default)]
+pub struct EpochCache {
+    skyline: OnceLock<EpochSkyline>,
+    clique: OnceLock<NeiSkyMcInput>,
+    closeness: OnceLock<NeiSkyGroupInput<Closeness>>,
+    harmonic: OnceLock<NeiSkyGroupInput<Harmonic>>,
+}
+
+impl From<EpochSkyline> for EpochCache {
+    fn from(skyline: EpochSkyline) -> EpochCache {
+        EpochCache {
+            skyline: OnceLock::from(skyline),
+            ..EpochCache::default()
+        }
+    }
+}
 
 /// Builds the per-request budget from the request's knobs.
 ///
@@ -104,8 +126,8 @@ pub fn budget_for(
     Ok(budget.cancelled_by(token))
 }
 
-/// [`execute_read`] with no skyline cache: every `skyline` read runs
-/// its kernel.
+/// [`execute_read`] with no cache: every request computes the state it
+/// needs from the graph.
 ///
 /// # Errors
 ///
@@ -120,14 +142,19 @@ pub fn execute_query(
     execute_read(g, None, req, default_timeout, token, rec)
 }
 
-/// Executes one parsed request against `g`, whose skyline `cache` (if
-/// any) serves default `skyline` reads.
+/// Executes one parsed request against `g`, whose derived state `cache`
+/// (if any) spares the request what earlier requests computed.
 ///
-/// A default (`refine`) read is answered from a filled cache with no
-/// kernel run and no budget. On an empty cache it runs FilterRefineSky
-/// under the request's budget, and a complete run fills the cache; a
-/// partial one never does. `algorithm:"base"` always runs BaseSky, as
-/// the cross-check.
+/// A default (`refine`) `skyline` read is answered from a filled
+/// skyline cell with no kernel run and no budget. On an empty cell it
+/// runs FilterRefineSky under the request's budget, and a complete run
+/// fills the cell. A `clique` runs NeiSkyMC on the cached input, or
+/// first builds it under the request's budget, from the cached skyline
+/// when there is one; a `group` does the same with its measure's input.
+/// A complete build fills its cell, and the skyline cell if the build
+/// computed the skyline; a tripped one fills nothing and answers with
+/// the partial result. `algorithm:"base"` (BaseSky) and `prune:false`
+/// (MC-BRB) always run their kernel, as the cross-checks.
 ///
 /// The recorder is the caller's: the server passes a fresh
 /// `CountingRecorder` per request and folds it into the response's
@@ -140,12 +167,15 @@ pub fn execute_query(
 /// invalid arguments; kernel budget trips are *not* errors.
 pub fn execute_read(
     g: &Graph,
-    cache: Option<&SkylineCache>,
+    cache: Option<&EpochCache>,
     req: &Value,
     default_timeout: Option<Duration>,
     token: &CancelToken,
     rec: &CountingRecorder,
 ) -> Result<QueryOutcome, ProtocolError> {
+    // Without a cache, clique and group inputs live for this request.
+    let scratch = EpochCache::default();
+    let cells = cache.unwrap_or(&scratch);
     let op = req
         .get("op")
         .and_then(Value::as_str)
@@ -164,7 +194,7 @@ pub fn execute_read(
                 .and_then(Value::as_str)
                 .unwrap_or("refine");
             let cache = cache.filter(|_| algorithm == "refine");
-            if let Some(sky) = cache.and_then(OnceLock::get) {
+            if let Some(sky) = cache.and_then(|cache| cache.skyline.get()) {
                 return Ok(QueryOutcome {
                     kernel: "server/skyline_cache",
                     completion: Completion::Complete,
@@ -191,7 +221,8 @@ pub fn execute_read(
                 // Two racing first readers may both get here; the cache
                 // keeps one of their (identical) answers.
                 Some(cache) if outcome.completion.is_complete() => cache
-                    .get_or_init(|| EpochSkyline::new(&outcome.skyline))
+                    .skyline
+                    .get_or_init(|| EpochSkyline::new(outcome.skyline))
                     .result(),
                 _ => json::obj(vec![
                     ("skyline", ids(&outcome.skyline)),
@@ -221,12 +252,21 @@ pub fn execute_read(
                 .budget(&budget)
                 .recorder(dyn_rec);
             let (kernel, clique, completion) = if prune {
-                let run = nei_sky_mc_with(g, &mut ctx);
-                (
-                    "server/nei_sky_mc",
-                    run.outcome.clique,
-                    run.outcome.completion,
-                )
+                let prepared = prepared(
+                    &cells.clique,
+                    &cells.skyline,
+                    |known| NeiSkyMcInput::build(g, known, &ctx),
+                    |input| {
+                        let mut ids = input.seeds().to_vec();
+                        ids.sort_unstable();
+                        ids
+                    },
+                );
+                let outcome = match prepared {
+                    Ok(input) => nei_sky_mc_with(g, input, &mut ctx).outcome,
+                    Err(partial) => partial,
+                };
+                ("server/nei_sky_mc", outcome.clique, outcome.completion)
             } else {
                 let run = mc_brb_with(g, &mut ctx);
                 ("server/mc_brb", run.outcome.clique, run.outcome.completion)
@@ -252,14 +292,14 @@ pub fn execute_read(
             let mut ctx = nsky_skyline::ExecutionContext::new()
                 .budget(&budget)
                 .recorder(dyn_rec);
-            let (kernel, run) = match measure {
+            let (kernel, outcome) = match measure {
                 "closeness" => (
                     "server/nei_sky_group_closeness",
-                    nei_sky_group_with(g, Closeness, k, lazy, &mut ctx),
+                    run_group(g, &cells.skyline, &cells.closeness, k, lazy, &mut ctx),
                 ),
                 "harmonic" => (
                     "server/nei_sky_group_harmonic",
-                    nei_sky_group_with(g, Harmonic, k, lazy, &mut ctx),
+                    run_group(g, &cells.skyline, &cells.harmonic, k, lazy, &mut ctx),
                 ),
                 other => {
                     return Err(ProtocolError::BadRequest(format!(
@@ -267,7 +307,6 @@ pub fn execute_read(
                     )))
                 }
             };
-            let outcome = run.outcome;
             Ok(QueryOutcome {
                 kernel,
                 completion: outcome.greedy.completion,
@@ -279,6 +318,50 @@ pub fn execute_read(
             })
         }
         other => Err(ProtocolError::UnknownOp(other.to_owned())),
+    }
+}
+
+/// The prepared input in `cell`, or a build under the request's budget
+/// that fills it. `build` receives the epoch's skyline when that cell is
+/// filled; a build that computed the skyline itself also fills the
+/// skyline cell, with the ids `skyline_of` reads off the input. A
+/// tripped build fills nothing and returns its partial answer.
+fn prepared<'c, T, E>(
+    cell: &'c OnceLock<T>,
+    skyline: &OnceLock<EpochSkyline>,
+    build: impl FnOnce(Option<&[VertexId]>) -> Result<T, E>,
+    skyline_of: impl FnOnce(&T) -> Vec<VertexId>,
+) -> Result<&'c T, E> {
+    if let Some(input) = cell.get() {
+        return Ok(input);
+    }
+    let known = skyline.get().map(|sky| sky.ids.as_slice());
+    let input = build(known)?;
+    if known.is_none() {
+        skyline.get_or_init(|| EpochSkyline::new(skyline_of(&input)));
+    }
+    Ok(cell.get_or_init(|| input))
+}
+
+/// A `group` request: NeiSkyGC/NeiSkyGH on the epoch's input for
+/// measure `M`, held in `cell`.
+fn run_group<M: GroupMeasure + Default>(
+    g: &Graph,
+    skyline: &OnceLock<EpochSkyline>,
+    cell: &OnceLock<NeiSkyGroupInput<M>>,
+    k: usize,
+    lazy: bool,
+    ctx: &mut nsky_skyline::ExecutionContext<'_>,
+) -> NeiSkyOutcome {
+    let prepared = prepared(
+        cell,
+        skyline,
+        |known| NeiSkyGroupInput::build(g, M::default(), known, ctx),
+        |input| input.pool().to_vec(),
+    );
+    match prepared {
+        Ok(input) => nei_sky_group_with(g, input, k, lazy, ctx).outcome,
+        Err(partial) => partial,
     }
 }
 
@@ -339,7 +422,7 @@ pub fn execute_update(
 }
 
 /// [`execute_update`], also returning the committed skyline for the
-/// published epoch's [`SkylineCache`]. Its array is rendered once: the
+/// published epoch's [`EpochCache`]. Its array is rendered once: the
 /// reply's `skyline` member is the same text.
 pub(crate) fn update_epoch(
     engine: &mut MutableSkyline,
@@ -356,13 +439,13 @@ pub(crate) fn update_epoch(
         .recorder(dyn_rec);
     let run = engine.apply_batch_with(deltas, &mut ctx);
     let o = run.outcome;
-    let sky = EpochSkyline::new(&o.skyline);
+    let sky = EpochSkyline::new(o.skyline);
     let outcome = QueryOutcome {
         kernel: "server/dynamic_maintain",
         completion: o.completion,
         result: json::obj(vec![
             ("skyline", Value::Raw(sky.array.clone())),
-            ("size", json::num(sky.size as u64)),
+            ("size", json::num(sky.ids.len() as u64)),
             ("cursor", json::num(o.cursor as u64)),
             ("total", json::num(o.total as u64)),
             ("applied", json::num(o.stats.applied)),

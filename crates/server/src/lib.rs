@@ -4,9 +4,11 @@
 //! The daemon loads a graph once and answers skyline / dominance /
 //! clique / group-centrality queries over a newline-delimited JSON
 //! protocol (one request line in, one response line out, pipelining
-//! allowed). A default `skyline` read is answered from the published
-//! epoch, which holds its graph's exact skyline rendered once; every
-//! other kernel run happens under the request's own `ExecutionContext`:
+//! allowed). The published epoch holds what depends on its graph alone:
+//! the exact skyline rendered once, which answers a default `skyline`
+//! read, and the prepared inputs that leave `clique` and `group` only
+//! their search. Every kernel run happens under the request's own
+//! `ExecutionContext`:
 //!
 //! - a deadline budget turns timeouts into *anytime partial answers*
 //!   tagged `"partial": true` — never an error;
@@ -32,8 +34,8 @@ pub mod protocol;
 pub mod server;
 
 pub use engine::{
-    budget_for, execute_query, execute_read, execute_update, parse_update_deltas, QueryOutcome,
-    SkylineCache,
+    budget_for, execute_query, execute_read, execute_update, parse_update_deltas, EpochCache,
+    QueryOutcome,
 };
 pub use protocol::ProtocolError;
 pub use server::{Server, ServerConfig, ServerHandle, ServerStats};

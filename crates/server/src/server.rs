@@ -26,7 +26,7 @@ use nsky_skyline::obs::{CountingRecorder, RunReport};
 use nsky_skyline::MutableSkyline;
 
 use crate::engine::{
-    execute_read, parse_update_deltas, update_epoch, EpochSkyline, QueryOutcome, SkylineCache,
+    execute_read, parse_update_deltas, update_epoch, EpochCache, EpochSkyline, QueryOutcome,
 };
 use crate::json::{self, Value};
 use crate::protocol::{self, Frame, ProtocolError};
@@ -131,9 +131,9 @@ struct Epoch {
     generation: u64,
     graph: Graph,
     fingerprint: u64,
-    /// `graph`'s exact skyline. An update fills it at publish; the
-    /// start-up generation's first complete default read fills it.
-    skyline: SkylineCache,
+    /// What depends on `graph` alone. An update fills the skyline at
+    /// publish; the first request that needs a part fills it.
+    cache: EpochCache,
 }
 
 struct Shared {
@@ -193,7 +193,7 @@ impl Shared {
             generation: slot.generation + 1,
             graph,
             fingerprint,
-            skyline: SkylineCache::from(skyline),
+            cache: EpochCache::from(skyline),
         });
         *slot = Arc::clone(&next);
         next
@@ -254,7 +254,7 @@ impl Server {
                 generation: 0,
                 graph,
                 fingerprint,
-                skyline: SkylineCache::new(),
+                cache: EpochCache::default(),
             })),
             updater: Mutex::new(None),
             config,
@@ -582,7 +582,7 @@ fn serve_request(
         let epoch = shared.current_epoch();
         execute_read(
             &epoch.graph,
-            Some(&epoch.skyline),
+            Some(&epoch.cache),
             req,
             shared.config.default_timeout,
             &req_token,

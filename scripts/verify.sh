@@ -71,6 +71,11 @@ step cargo test -q -p nsky-integration --test dynamic_differential
 # errors and sound partial answers with zero panics and zero leaked
 # worker threads.
 step cargo test -q -p nsky-integration --test server_faults
+# Pinned-answer gate, likewise run by name: the serving benchmark's
+# Notredame clique and group answers (groups, score bits, evaluation
+# counts) are pinned, and prepared kernel inputs must match from-scratch
+# runs bit for bit.
+step cargo test -q -p nsky-integration --test applications
 # Loadgen smoke: the open-loop generator must drive an in-process server
 # end to end with a fault mix and exit zero (healthy requests all
 # succeed) even in quick mode.

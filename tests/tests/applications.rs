@@ -3,12 +3,28 @@
 
 use nsky_centrality::greedy::{greedy_group, GreedyOptions};
 use nsky_centrality::group::group_score;
-use nsky_centrality::measure::{Closeness, Decay, Harmonic};
-use nsky_centrality::neisky::{nei_sky_gc, nei_sky_gh, nei_sky_group};
-use nsky_clique::{is_clique, max_clique_bnb, mc_brb, nei_sky_mc, top_k_cliques, TopkMode};
-use nsky_graph::generators::{affiliation_model, erdos_renyi, leafy_preferential};
+use nsky_centrality::measure::{Closeness, Decay, GroupMeasure, Harmonic};
+use nsky_centrality::neisky::{
+    nei_sky_gc, nei_sky_gh, nei_sky_group, nei_sky_group_with, NeiSkyGroupInput,
+};
+use nsky_clique::{
+    is_clique, max_clique_bnb, mc_brb, nei_sky_mc, nei_sky_mc_with, top_k_cliques, CliqueStats,
+    NeiSkyMcInput, TopkMode,
+};
+use nsky_graph::generators::{
+    affiliation_model, chung_lu_power_law, erdos_renyi, leafy_preferential,
+};
 use nsky_graph::ops::induced_subgraph;
-use nsky_graph::VertexId;
+use nsky_graph::{Graph, VertexId};
+use nsky_skyline::{base_sky, ExecutionContext};
+
+fn notredame() -> Graph {
+    nsky_datasets::paper_datasets()
+        .into_iter()
+        .find(|spec| spec.name == "Notredame")
+        .expect("Notredame is a paper dataset")
+        .build()
+}
 
 #[test]
 fn group_centrality_pruning_preserves_scores() {
@@ -124,5 +140,109 @@ fn notredame_group_answers_are_pinned() {
         assert_eq!(gh.group, [0, 3, 1, 2], "harmonic lazy={lazy}");
         assert_eq!(gh.score.to_bits(), 0x40a6_ba00_0000_0000, "lazy={lazy}");
         assert_eq!(gh.gain_evaluations, evaluations, "harmonic lazy={lazy}");
+    }
+}
+
+#[test]
+fn notredame_clique_answer_is_pinned() {
+    // The serving benchmark's `clique` request on the Notredame stand-in:
+    // the heuristic floor already has ω, so the core bound prunes every
+    // one of the 694 skyline seeds and no root search runs.
+    let out = nei_sky_mc(&notredame());
+    assert_eq!(out.clique, [0, 1, 2, 3, 272]);
+    assert_eq!(out.skyline_size, 694);
+    let stats = CliqueStats {
+        skyline_prunes: 694,
+        ..CliqueStats::default()
+    };
+    assert_eq!(out.stats, stats);
+}
+
+/// A prepared NeiSkyGC/NeiSkyGH input against the from-scratch engine,
+/// which scores the same skyline pool with its own seeding BFS: same
+/// group, score and score-trace bits, evaluation and lazy-skip counts,
+/// for both engines and k ∈ {1, 4, 10}, with the input reused across
+/// runs as a server reuses it.
+fn assert_prepared_group_matches_scratch<M: GroupMeasure>(label: &str, g: &Graph, measure: M) {
+    let input = NeiSkyGroupInput::build(g, measure, None, &ExecutionContext::new())
+        .expect("an unlimited build completes");
+    for lazy in [true, false] {
+        for k in [1, 4, 10] {
+            let opts = GreedyOptions {
+                lazy,
+                pruned_bfs: lazy,
+                candidates: Some(input.pool().to_vec()),
+            };
+            let scratch = greedy_group(g, measure, k, &opts);
+            let prepared = nei_sky_group_with(g, &input, k, lazy, &mut ExecutionContext::new())
+                .outcome
+                .greedy;
+            let at = format!("{label} {} lazy={lazy} k={k}", M::NAME);
+            assert_eq!(prepared.group, scratch.group, "{at}");
+            assert_eq!(prepared.score.to_bits(), scratch.score.to_bits(), "{at}");
+            let bits = |trace: &[f64]| trace.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&prepared.score_trace),
+                bits(&scratch.score_trace),
+                "{at}"
+            );
+            assert_eq!(prepared.gain_evaluations, scratch.gain_evaluations, "{at}");
+            assert_eq!(prepared.lazy_skips, scratch.lazy_skips, "{at}");
+            assert_eq!(prepared.completion, scratch.completion, "{at}");
+        }
+    }
+}
+
+/// A prepared NeiSkyMC input, built from another exact skyline source
+/// and reused across runs, against a fresh build per run.
+fn assert_prepared_clique_matches_fresh(label: &str, g: &Graph) {
+    let fresh = nei_sky_mc(g);
+    let input = NeiSkyMcInput::new(g, &base_sky(g).skyline);
+    for run in 0..2 {
+        let out = nei_sky_mc_with(g, &input, &mut ExecutionContext::new()).outcome;
+        assert_eq!(out.clique, fresh.clique, "{label} run {run}");
+        assert_eq!(out.stats, fresh.stats, "{label} run {run}");
+        assert_eq!(out.skyline_size, fresh.skyline_size, "{label} run {run}");
+    }
+}
+
+/// The Notredame stand-in and small random graphs.
+fn prepared_input_graphs() -> Vec<(String, Graph)> {
+    let mut graphs = vec![("notredame".to_string(), notredame())];
+    for seed in 0..3 {
+        graphs.push((format!("er{seed}"), erdos_renyi(160, 0.02, seed)));
+        graphs.push((
+            format!("chung-lu{seed}"),
+            chung_lu_power_law(300, 2.6, 4.0, seed),
+        ));
+    }
+    graphs
+}
+
+#[test]
+fn prepared_closeness_inputs_match_from_scratch_runs() {
+    for (label, g) in &prepared_input_graphs() {
+        assert_prepared_group_matches_scratch(label, g, Closeness);
+    }
+}
+
+#[test]
+fn prepared_harmonic_inputs_match_from_scratch_runs() {
+    for (label, g) in &prepared_input_graphs() {
+        assert_prepared_group_matches_scratch(label, g, Harmonic);
+    }
+}
+
+#[test]
+fn prepared_decay_inputs_match_from_scratch_runs() {
+    for (label, g) in &prepared_input_graphs() {
+        assert_prepared_group_matches_scratch(label, g, Decay::new(0.6));
+    }
+}
+
+#[test]
+fn prepared_clique_inputs_match_fresh_builds() {
+    for (label, g) in &prepared_input_graphs() {
+        assert_prepared_clique_matches_fresh(label, g);
     }
 }

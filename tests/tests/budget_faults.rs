@@ -10,11 +10,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nsky_centrality::greedy::{greedy_group, greedy_group_with, GreedyOptions};
-use nsky_centrality::measure::{Closeness, Harmonic};
-use nsky_centrality::neisky::nei_sky_group_with;
+use nsky_centrality::measure::{Closeness, GroupMeasure, Harmonic};
+use nsky_centrality::neisky::{nei_sky_group_with, NeiSkyGroupInput};
 use nsky_clique::{
     is_clique, max_clique_bnb_with, mc_brb_with, nei_sky_mc_with, top_k_cliques,
-    top_k_cliques_with, TopkMode,
+    top_k_cliques_with, NeiSkyMcInput, TopkMode,
 };
 use nsky_graph::generators::chung_lu_power_law;
 use nsky_graph::Graph;
@@ -55,6 +55,17 @@ fn calibrate(run: impl FnOnce(&ExecutionBudget)) -> u64 {
         "kernel too small to fault-inject ({total} polls)"
     );
     total
+}
+
+/// NeiSkyMC's prepared input, built without a budget.
+fn clique_input(g: &Graph) -> NeiSkyMcInput {
+    NeiSkyMcInput::new(g, &filter_refine_sky(g, &RefineConfig::default()).skyline)
+}
+
+/// NeiSkyGC/NeiSkyGH's prepared input, built without a budget.
+fn group_input<M: GroupMeasure>(g: &Graph, measure: M) -> NeiSkyGroupInput<M> {
+    NeiSkyGroupInput::build(g, measure, None, &ExecutionContext::new())
+        .expect("an unlimited build completes")
 }
 
 /// Trip points spread across a run of `total` polls: first poll, middle
@@ -160,12 +171,13 @@ fn clique_kernels_trip_with_valid_nonempty_best_so_far() {
         assert!(!run.clique.is_empty() && is_clique(&g, &run.clique));
     }
 
+    let input = clique_input(&g);
     let total = calibrate(|b| {
-        nei_sky_mc_with(&g, &mut ctx(b));
+        nei_sky_mc_with(&g, &input, &mut ctx(b));
     });
     for k in trip_points(total) {
         let (budget, clock) = trip_budget(k);
-        let out = nei_sky_mc_with(&g, &mut ctx(&budget)).outcome;
+        let out = nei_sky_mc_with(&g, &input, &mut ctx(&budget)).outcome;
         assert_eq!(out.completion, Completion::DeadlineExceeded, "k={k}");
         assert_eq!(clock.polls(), k);
         assert!(!out.clique.is_empty() && is_clique(&g, &out.clique));
@@ -217,12 +229,13 @@ fn greedy_trips_keep_the_committed_prefix() {
 #[test]
 fn neisky_group_shares_one_budget_across_phases() {
     let g = graph(7);
+    let input = group_input(&g, Closeness);
     let total = calibrate(|b| {
-        nei_sky_group_with(&g, Closeness, 4, true, &mut ctx(b));
+        nei_sky_group_with(&g, &input, 4, true, &mut ctx(b));
     });
     for k in trip_points(total) {
         let (budget, _clock) = trip_budget(k);
-        let out = nei_sky_group_with(&g, Closeness, 4, true, &mut ctx(&budget)).outcome;
+        let out = nei_sky_group_with(&g, &input, 4, true, &mut ctx(&budget)).outcome;
         assert_eq!(out.greedy.completion, Completion::DeadlineExceeded, "k={k}");
         assert!(out.greedy.group.len() <= 4);
     }
@@ -267,7 +280,7 @@ fn memory_caps_trip_before_allocating() {
         Completion::MemoryCapped
     );
     assert_eq!(
-        nei_sky_group_with(&g, Harmonic, 3, true, &mut ctx(&tiny()))
+        nei_sky_group_with(&g, &group_input(&g, Harmonic), 3, true, &mut ctx(&tiny()))
             .outcome
             .greedy
             .completion,
@@ -431,7 +444,7 @@ fn zero_timeout_trips_every_kernel_without_panicking() {
         .outcome
         .completion
         .is_complete());
-    assert!(!nei_sky_mc_with(&g, &mut ctx(&zero()))
+    assert!(!nei_sky_mc_with(&g, &clique_input(&g), &mut ctx(&zero()))
         .outcome
         .completion
         .is_complete());
@@ -452,7 +465,7 @@ fn zero_timeout_trips_every_kernel_without_panicking() {
     .completion
     .is_complete());
     assert!(
-        !nei_sky_group_with(&g, Harmonic, 3, true, &mut ctx(&zero()))
+        !nei_sky_group_with(&g, &group_input(&g, Harmonic), 3, true, &mut ctx(&zero()))
             .outcome
             .greedy
             .completion

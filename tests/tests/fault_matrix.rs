@@ -33,10 +33,10 @@ use std::sync::Arc;
 
 use nsky_centrality::greedy::{greedy_group, greedy_group_with, GreedyOptions};
 use nsky_centrality::measure::{Closeness, Harmonic};
-use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_with};
+use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_with, NeiSkyGroupInput};
 use nsky_clique::{
     is_clique, max_clique_bnb, max_clique_bnb_with, mc_brb, mc_brb_with, nei_sky_mc,
-    nei_sky_mc_with, top_k_cliques, top_k_cliques_with, TopkMode,
+    nei_sky_mc_with, top_k_cliques, top_k_cliques_with, NeiSkyMcInput, TopkMode,
 };
 use nsky_graph::generators::{chung_lu_power_law, erdos_renyi};
 use nsky_skyline::budget::{Completion, ExecutionBudget, TripClock};
@@ -685,11 +685,14 @@ fn matrix_nei_sky_mc() {
     let g = chung_lu_power_law(80, 2.6, 6.0, 31);
     let g2 = chung_lu_power_law(80, 2.6, 6.0, 32);
     let full = nei_sky_mc(&g);
+    let sky = |g| filter_refine_sky(g, &RefineConfig::default()).skyline;
+    let input = NeiSkyMcInput::new(&g, &sky(&g));
+    let input2 = NeiSkyMcInput::new(&g2, &sky(&g2));
     run_matrix(MatrixCase {
         name: "nei-sky-mc",
         parallel: false,
-        run: &|ctx: &mut ExecutionContext<'_>| nei_sky_mc_with(&g, ctx),
-        wrong_graph: &|ctx: &mut ExecutionContext<'_>| nei_sky_mc_with(&g2, ctx),
+        run: &|ctx: &mut ExecutionContext<'_>| nei_sky_mc_with(&g, &input, ctx),
+        wrong_graph: &|ctx: &mut ExecutionContext<'_>| nei_sky_mc_with(&g2, &input2, ctx),
         foreign: &|| tripped_snapshot(&|ctx: &mut ExecutionContext<'_>| base_sky_with(&g, ctx)),
         completion: &|o| o.completion,
         check: &|o, comp, label| {
@@ -885,12 +888,17 @@ fn matrix_nei_sky_group() {
     let g = chung_lu_power_law(56, 2.7, 5.0, 41);
     let g2 = chung_lu_power_law(56, 2.7, 5.0, 42);
     let full = nei_sky_group(&g, Harmonic, 3, true);
+    let build = |g| {
+        NeiSkyGroupInput::build(g, Harmonic, None, &ExecutionContext::new())
+            .expect("an unlimited build completes")
+    };
+    let (input, input2) = (build(&g), build(&g2));
     run_matrix(MatrixCase {
         name: "nei-sky-group",
         parallel: false,
-        run: &|ctx: &mut ExecutionContext<'_>| nei_sky_group_with(&g, Harmonic, 3, true, ctx),
+        run: &|ctx: &mut ExecutionContext<'_>| nei_sky_group_with(&g, &input, 3, true, ctx),
         wrong_graph: &|ctx: &mut ExecutionContext<'_>| {
-            nei_sky_group_with(&g2, Harmonic, 3, true, ctx)
+            nei_sky_group_with(&g2, &input2, 3, true, ctx)
         },
         foreign: &|| tripped_snapshot(&|ctx: &mut ExecutionContext<'_>| base_sky_with(&g, ctx)),
         completion: &|o| o.greedy.completion,

@@ -10,10 +10,10 @@
 
 use nsky_centrality::greedy::{greedy_group, greedy_group_with, GreedyOptions};
 use nsky_centrality::measure::{Closeness, Harmonic};
-use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_with};
+use nsky_centrality::neisky::{nei_sky_group, nei_sky_group_with, NeiSkyGroupInput};
 use nsky_clique::{
     max_clique_bnb, max_clique_bnb_with, mc_brb, mc_brb_with, nei_sky_mc, nei_sky_mc_with,
-    top_k_cliques, top_k_cliques_with, TopkMode,
+    top_k_cliques, top_k_cliques_with, NeiSkyMcInput, TopkMode,
 };
 use nsky_graph::generators::special::{clique, cycle, star};
 use nsky_graph::generators::{chung_lu_power_law, erdos_renyi, leafy_preferential};
@@ -29,6 +29,11 @@ use nsky_skyline::{
 /// A context armed with `rec` and nothing else.
 fn recorded(rec: &dyn Recorder) -> ExecutionContext<'_> {
     ExecutionContext::new().recorder(rec)
+}
+
+/// NeiSkyMC's prepared input, built without a budget.
+fn clique_input(g: &Graph) -> NeiSkyMcInput {
+    NeiSkyMcInput::new(g, &filter_refine_sky(g, &RefineConfig::default()).skyline)
 }
 
 /// SplitMix64: the seed stream for the sweep. Chosen over the harness's
@@ -240,7 +245,7 @@ fn noop_recorder_runs_match_their_uninstrumented_twins() {
         assert_eq!(brb_rec.stats, brb_stats, "{label}/mcbrb");
 
         let nsm = nei_sky_mc(&g);
-        let nsm_rec = nei_sky_mc_with(&g, &mut recorded(&noop)).outcome;
+        let nsm_rec = nei_sky_mc_with(&g, &clique_input(&g), &mut recorded(&noop)).outcome;
         assert_eq!(nsm_rec.clique, nsm.clique, "{label}/neisky_mc");
         assert_eq!(nsm_rec.stats, nsm.stats, "{label}/neisky_mc");
         assert_eq!(nsm_rec.skyline_size, nsm.skyline_size, "{label}/neisky_mc");
@@ -265,7 +270,9 @@ fn noop_recorder_runs_match_their_uninstrumented_twins() {
     assert_eq!(twin.score_trace, plain.score_trace);
 
     let plain = nei_sky_group(&g, Closeness, 4, true);
-    let twin = nei_sky_group_with(&g, Closeness, 4, true, &mut recorded(&noop)).outcome;
+    let input = NeiSkyGroupInput::build(&g, Closeness, None, &recorded(&noop))
+        .expect("an unlimited build completes");
+    let twin = nei_sky_group_with(&g, &input, 4, true, &mut recorded(&noop)).outcome;
     assert_eq!(
         twin.greedy.group, plain.greedy.group,
         "nei_sky group diverged"
@@ -282,7 +289,7 @@ fn noop_recorder_runs_match_their_uninstrumented_twins() {
 fn skyline_pruning_shrinks_the_clique_search() {
     for (label, g) in sweep() {
         let rec = CountingRecorder::new();
-        let out = nei_sky_mc_with(&g, &mut recorded(&rec)).outcome;
+        let out = nei_sky_mc_with(&g, &clique_input(&g), &mut recorded(&rec)).outcome;
         let (bnb_clique, bnb_stats) = max_clique_bnb(&g);
         assert_eq!(
             out.clique.len(),
@@ -356,7 +363,10 @@ fn greedy_counters_flush_through_the_recorder() {
     assert_eq!(names, ["greedy"]);
 
     let rec = CountingRecorder::new();
-    let out = nei_sky_group_with(&g, Closeness, 3, true, &mut recorded(&rec)).outcome;
+    let mut ctx = recorded(&rec);
+    let input =
+        NeiSkyGroupInput::build(&g, Closeness, None, &ctx).expect("an unlimited build completes");
+    let out = nei_sky_group_with(&g, &input, 3, true, &mut ctx).outcome;
     assert_eq!(
         rec.value(Counter::CandidatesEmitted),
         out.skyline_size as u64

@@ -17,12 +17,18 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use nsky_centrality::measure::{Closeness, GroupMeasure, Harmonic};
+use nsky_centrality::neisky::{nei_sky_group_with, NeiSkyGroupInput};
+use nsky_clique::{nei_sky_mc_with, NeiSkyMcInput};
+use nsky_graph::Graph;
 use nsky_server::json::{self, Value};
 use nsky_server::{Server, ServerConfig, ServerHandle};
-use nsky_skyline::obs::RunReport;
-use nsky_skyline::{filter_refine_sky, RefineConfig};
+use nsky_skyline::budget::{CancelToken, ExecutionBudget, TripClock};
+use nsky_skyline::obs::{CountingRecorder, RunReport};
+use nsky_skyline::{filter_refine_sky, ExecutionContext, RefineConfig};
 
 /// Small, aggressive config: faults resolve in milliseconds.
 fn test_config() -> ServerConfig {
@@ -670,6 +676,184 @@ fn skyline_reads_are_served_from_the_epoch_cache() {
     let stats = handle.shutdown_and_drain();
     assert_eq!(stats.partial, 1, "{stats:?}");
     assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+}
+
+/// Budget polls of one complete run, counted by a clock that never
+/// trips.
+fn polls(run: impl FnOnce(&mut ExecutionContext<'_>)) -> u64 {
+    let clock = Arc::new(TripClock::at_poll(u64::MAX));
+    let budget = ExecutionBudget::unlimited()
+        .deadline(Arc::clone(&clock))
+        .check_interval(1);
+    run(&mut ExecutionContext::new().budget(&budget));
+    clock.polls()
+}
+
+/// Polls of a lazy `group` request's two stages on `g` once the
+/// skyline `sky` is known: the first-round gains, then the `k` rounds
+/// after them.
+fn group_polls<M: GroupMeasure>(g: &Graph, measure: M, k: usize, sky: &[u32]) -> (u64, u64) {
+    let build = |ctx: &ExecutionContext<'_>| {
+        NeiSkyGroupInput::build(g, measure, Some(sky), ctx).expect("an untripped build completes")
+    };
+    let gains = polls(|ctx| {
+        build(ctx);
+    });
+    let input = build(&ExecutionContext::new());
+    let rounds = polls(|ctx| {
+        nei_sky_group_with(g, &input, k, true, ctx);
+    });
+    (gains, rounds)
+}
+
+/// Polls of a `clique` request's seed loop on `g` once its input is
+/// prepared; building the input from a known skyline polls nothing.
+fn search_polls(g: &Graph) -> u64 {
+    let sky = filter_refine_sky(g, &RefineConfig::default()).skyline;
+    let input = NeiSkyMcInput::new(g, &sky);
+    polls(|ctx| {
+        nei_sky_mc_with(g, &input, ctx);
+    })
+}
+
+/// `body` as a request that may take at most `polls` budget polls: the
+/// reply is partial exactly when the server's work needs more.
+fn with_polls(body: &str, polls: u64) -> String {
+    format!(
+        r#"{{{body},"trip_after":{},"check_interval":1}}"#,
+        polls + 1
+    )
+}
+
+/// The `result` of `line` run through the cache-less `execute_query`
+/// on `g`, rendered as the server renders it.
+fn uncached_result(g: &Graph, line: &str) -> String {
+    let req = nsky_server::protocol::parse_request(line).expect("a valid request");
+    let rec = CountingRecorder::new();
+    nsky_server::execute_query(g, &req, None, &CancelToken::new(), &rec)
+        .expect("a valid query")
+        .result
+        .to_string()
+}
+
+/// Sends `body` with a budget of `polls` polls and checks the reply's
+/// `result` against the cache-less engine on `g`: a complete reply is
+/// the unbudgeted answer, and a partial one (computed from empty cells)
+/// is where the cache-less run of the same request trips. Returns
+/// whether the reply was partial.
+fn checked(addr: SocketAddr, g: &Graph, body: &str, polls: u64) -> bool {
+    let line = with_polls(body, polls);
+    let reply = request_line(addr, &line);
+    let partial = partial_reply(&reply);
+    let reference = if partial { line } else { format!("{{{body}}}") };
+    assert_eq!(
+        result_text(&reply),
+        uncached_result(g, &reference),
+        "{reference}"
+    );
+    partial
+}
+
+/// Sends `body` with a budget of `polls` polls; returns whether the
+/// reply was partial.
+fn trips(addr: SocketAddr, body: &str, polls: u64) -> bool {
+    partial_reply(&request_line(addr, &with_polls(body, polls)))
+}
+
+fn partial_reply(line: &str) -> bool {
+    let resp = json::parse(line.trim_end()).expect("response must be JSON");
+    resp.get("partial")
+        .and_then(Value::as_bool)
+        .expect("partial flag")
+}
+
+/// The epoch's clique and group inputs. Each cell is filled by the
+/// first complete build that needs it and by nothing else, so a
+/// request's budget polls show what it had to compute: FilterRefineSky
+/// when the skyline cell is empty, the first-round gains when its
+/// measure's cell is empty. A `k = 1` group polls nothing after its
+/// gains, so one poll of budget completes it only on a filled cell and
+/// otherwise trips at the first poll of a build, filling nothing. Every
+/// complete reply, and every partial one computed from empty cells,
+/// matches `execute_query`.
+#[test]
+fn clique_and_group_inputs_fill_once_per_epoch() {
+    let handle = start_karate(test_config());
+    let addr = handle.addr();
+    let karate = nsky_datasets::karate();
+    let sky = filter_refine_sky(&karate, &RefineConfig::default()).skyline;
+    let frs = polls(|ctx| {
+        nsky_skyline::filter_refine_sky_with(&karate, &RefineConfig::default(), ctx);
+    });
+    let search = search_polls(&karate);
+    let (gains_c, rounds_c) = group_polls(&karate, Closeness, 1, &sky);
+    let (gains_h, rounds_h) = group_polls(&karate, Harmonic, 1, &sky);
+    let (_, rounds_c4) = group_polls(&karate, Closeness, 4, &sky);
+    assert!(search < frs && rounds_c < gains_c && rounds_h < gains_h);
+    let clique = r#""op":"clique""#;
+    let closeness = r#""op":"group","k":1,"measure":"closeness""#;
+    let closeness4 = r#""op":"group","k":4,"measure":"closeness""#;
+    let harmonic = r#""op":"group","k":1,"measure":"harmonic""#;
+
+    // A clique tripped in FilterRefineSky and a group tripped in its
+    // gains fill nothing: the skyline and the gains are still missing.
+    assert!(checked(addr, &karate, clique, 0));
+    assert!(checked(addr, &karate, closeness, frs));
+    assert!(checked(addr, &karate, clique, search));
+    assert!(checked(addr, &karate, closeness, rounds_c));
+
+    // A skyline read fills only the skyline: the gains are still missing.
+    let resp = request(addr, r#"{"op":"skyline"}"#);
+    assert_eq!(report_of(&resp).kernel, "server/filter_refine_sky");
+    assert!(trips(addr, closeness, rounds_c));
+
+    // The next complete group fills its measure's gains, and only those.
+    assert!(!checked(addr, &karate, closeness, gains_c + rounds_c));
+    assert!(!checked(addr, &karate, closeness, rounds_c));
+    assert!(!checked(addr, &karate, closeness4, rounds_c4));
+    assert!(trips(addr, harmonic, rounds_h));
+    assert!(!checked(addr, &karate, harmonic, gains_h + rounds_h));
+    assert!(!checked(addr, &karate, harmonic, rounds_h));
+
+    // On the cached skyline a clique runs only its seed loop; the first
+    // such run fills the core order and the heuristic floor.
+    for _ in 0..2 {
+        assert!(!checked(addr, &karate, clique, search));
+    }
+
+    // The first clique after an update takes its skyline from the
+    // publish: no FilterRefineSky run, so the seed loop's polls suffice.
+    let batch = ["+ 0 9", "- 33 32"];
+    let resp = request(
+        addr,
+        &format!("{{\"op\":\"update\",\"deltas\":{}}}", deltas_json(&batch)),
+    );
+    assert_eq!(resp.get("generation").and_then(Value::as_u64), Some(1));
+    let replayed = apply_local(&karate, &batch);
+    assert!(!checked(addr, &replayed, clique, search_polls(&replayed)));
+    // Inputs do not outlive their epoch: the gains are computed again.
+    let replayed_sky = filter_refine_sky(&replayed, &RefineConfig::default()).skyline;
+    let (gains, rounds) = group_polls(&replayed, Closeness, 1, &replayed_sky);
+    assert!(trips(addr, closeness, rounds));
+    assert!(!checked(addr, &replayed, closeness, gains + rounds));
+
+    let stats = handle.shutdown_and_drain();
+    assert_eq!(stats.partial, 7, "{stats:?}");
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+
+    // A complete first clique or group also stores the skyline it
+    // computed: the other op then skips FilterRefineSky.
+    for (first, then, polls) in [
+        (clique, closeness, gains_c + rounds_c),
+        (harmonic, clique, search),
+    ] {
+        let handle = start_karate(test_config());
+        let addr = handle.addr();
+        assert!(!checked(addr, &karate, first, 1 << 40));
+        assert!(!checked(addr, &karate, then, polls));
+        let stats = handle.shutdown_and_drain();
+        assert_eq!(stats.partial, 0, "{stats:?}");
+    }
 }
 
 #[test]
