@@ -3,10 +3,14 @@
 //! [`MutableSkyline`] owns a mutation-capable graph view
 //! ([`DeltaGraph`]: packed CSR + sorted per-vertex overlays with
 //! periodic compaction) and keeps the neighborhood skyline exact across
-//! [`EdgeDelta`] streams. Each effective delta triggers a *scoped*
-//! repair: a dirty-set worklist covering the touched endpoints, their
-//! neighborhoods and each endpoint's twin candidates, re-refined with
-//! exact per-vertex domination scans. Batches run through
+//! [`EdgeDelta`] streams. Deltas are repaired in chunks of up to 64:
+//! each effective delta of a chunk is applied and its dirty set — the
+//! touched endpoints, their neighborhoods and each endpoint's twin
+//! candidates — is merged into one stamped union, and every union
+//! vertex is then re-refined once, with an exact per-vertex domination
+//! scan on the chunk's final graph. A vertex next to a hub is dirtied
+//! by nearly every delta that touches the hub, so it is recomputed once
+//! per chunk, not once per delta. Batches run through
 //! [`ExecutionContext`] — budgeted, cancellable, recorded and
 //! checkpointable like every other kernel.
 //!
@@ -43,17 +47,32 @@
 //! the pair `(x, w)` flipped for no `w ∈ {u, v}`, and every other pair
 //! is untouched, so the stored dominator array stays exact everywhere.
 //!
+//! ## Why a chunk repairs like its deltas one by one
+//!
+//! Each delta's dirty set is collected on that delta's own
+//! edge-present graph, so the union covers every vertex that any delta
+//! of the chunk can flip, and a vertex outside it keeps its witness
+//! through the whole chunk. A union vertex `x` is recomputed on the
+//! final graph, and the witness it gets is the one a per-delta repair
+//! would have left: after the last delta that dirties `x`, no delta
+//! touches `N(x)` (an endpoint in `N(x)` dirties `x`), the degree of a
+//! neighbor of `x` (likewise), the list of its min-degree neighbor, or
+//! the verdict of any pair `(x, w)` (the argument above). The final
+//! scan therefore walks the same candidates with the same verdicts as
+//! the last per-delta scan and stops at the same witness, so the
+//! dominator array is bit-identical to a one-delta-at-a-time run.
+//!
 //! ## Atomicity and anytime partials
 //!
-//! Per-delta repairs buffer recomputed `(vertex, dominator)` pairs in
-//! scratch and commit only after the full dirty drain — the per-vertex
-//! recompute never reads the dominator array, so the commit is
-//! order-independent. On any mid-delta trip the scratch is discarded
-//! and the graph edit rolled back with its exact inverse, leaving the
-//! engine precisely at "after `cursor` fully-applied deltas": a
-//! partial [`UpdateOutcome`] is not merely a sound subset but the
-//! *exact* skyline of the committed prefix, and resume converges to
-//! the exact final answer.
+//! A chunk buffers its recomputed witnesses in scratch and commits
+//! only after the full union drain — the per-vertex recompute never
+//! reads the dominator array, so the commit is order-independent. On
+//! any trip the scratch is discarded and the chunk's effective deltas
+//! are undone in reverse with their exact inverses, leaving the engine
+//! precisely at "after `cursor` fully-applied deltas", with `cursor` on
+//! a chunk boundary: a partial [`UpdateOutcome`] is not merely a sound
+//! subset but the *exact* skyline of the committed prefix, and resume
+//! converges to the exact final answer.
 
 use crate::budget::{BudgetTicker, Completion, ExecutionBudget};
 use crate::exec::{self, ExecutionContext};
@@ -148,12 +167,20 @@ impl KernelState for DynamicState {
     }
 }
 
-/// Reusable per-leg scratch (sized once, cleared per delta).
+/// Most deltas repaired (and committed) together; a one-delta chunk
+/// is a per-delta repair.
+const CHUNK: usize = 64;
+
+/// Reusable per-leg scratch (sized once, cleared per chunk).
 struct Scratch {
     nbrs: Vec<VertexId>,
     cand: Vec<VertexId>,
+    /// The chunk's dirty union, each vertex once.
     dirty: Vec<VertexId>,
-    newdom: Vec<(VertexId, VertexId)>,
+    /// The recomputed witness of each `dirty` vertex, index for index.
+    witness: Vec<VertexId>,
+    /// The chunk's effective deltas, in the order they were applied.
+    applied: Vec<EdgeDelta>,
     stamp: Vec<u32>,
     round: u32,
 }
@@ -164,7 +191,8 @@ impl Scratch {
             nbrs: Vec::new(),
             cand: Vec::new(),
             dirty: Vec::new(),
-            newdom: Vec::new(),
+            witness: Vec::new(),
+            applied: Vec::with_capacity(CHUNK),
             stamp: vec![u32::MAX; n],
             round: 0,
         }
@@ -467,8 +495,9 @@ impl MutableSkyline {
                 completion = status;
                 break;
             }
-            match self.process_delta(deltas[self.batch_pos], &mut scratch, &mut ticker) {
-                Ok(()) => self.batch_pos += 1,
+            let end = deltas.len().min(self.batch_pos + CHUNK);
+            match self.process_chunk(&deltas[self.batch_pos..end], &mut scratch, &mut ticker) {
+                Ok(()) => self.batch_pos = end,
                 Err(status) => {
                     completion = status;
                     break;
@@ -490,20 +519,78 @@ impl MutableSkyline {
         (outcome, state)
     }
 
-    /// Applies one delta and repairs the skyline, or rolls the edit
-    /// back and returns the trip status — the engine is always exactly
-    /// at a delta boundary afterwards.
-    fn process_delta(
+    /// Applies a chunk of deltas and repairs the skyline once for all
+    /// of them, or undoes the chunk's edits and returns the trip status
+    /// — the engine is always exactly at a chunk boundary afterwards.
+    fn process_chunk(
+        &mut self,
+        chunk: &[EdgeDelta],
+        s: &mut Scratch,
+        ticker: &mut BudgetTicker<'_>,
+    ) -> Result<(), Completion> {
+        s.round = s.round.wrapping_add(1);
+        s.dirty.clear();
+        s.applied.clear();
+        let mut skipped = 0u64;
+        for &d in chunk {
+            match self.apply_and_collect(d, s, ticker) {
+                Ok(true) => s.applied.push(d),
+                Ok(false) => skipped += 1,
+                Err(status) => {
+                    self.undo(&s.applied);
+                    return Err(status);
+                }
+            }
+        }
+        // Recompute every union vertex on the chunk's final graph into
+        // scratch; commit only after the full drain (recompute reads
+        // the graph, never the dominator array, so the commit is
+        // order-independent).
+        s.witness.clear();
+        for i in 0..s.dirty.len() {
+            let x = s.dirty[i];
+            match recompute_vertex(&self.view, x, &mut s.nbrs, &mut s.cand, ticker) {
+                Ok(w) => s.witness.push(w),
+                Err(status) => {
+                    self.undo(&s.applied);
+                    return Err(status);
+                }
+            }
+        }
+        // nsky-lint: allow(poll-reachability) — bounded: one write per union vertex, and a commit must not tear
+        for (&x, &w) in s.dirty.iter().zip(&s.witness) {
+            self.dominator[x as usize] = w;
+        }
+        self.stats.applied += s.applied.len() as u64;
+        self.stats.skipped += skipped;
+        self.stats.dirty_vertices += s.dirty.len() as u64;
+        self.stats.scoped_refines += s.witness.len() as u64;
+        self.view.maybe_compact();
+        Ok(())
+    }
+
+    /// Undoes a chunk's effective deltas, last first.
+    // nsky-lint: allow(budget-check) — bounded by the chunk length, and a rollback must not tear
+    fn undo(&mut self, applied: &[EdgeDelta]) {
+        for &d in applied.iter().rev() {
+            self.view.apply(d.inverse());
+        }
+    }
+
+    /// Applies one delta and adds its dirty set to the chunk's union.
+    /// Returns whether the delta was effective; on a trip the delta's
+    /// own edit is undone (earlier deltas of the chunk are the
+    /// caller's to undo).
+    fn apply_and_collect(
         &mut self,
         d: EdgeDelta,
         s: &mut Scratch,
         ticker: &mut BudgetTicker<'_>,
-    ) -> Result<(), Completion> {
+    ) -> Result<bool, Completion> {
         let (u, v) = d.endpoints();
         let insert = d.is_insert();
         if self.view.has_edge(u, v) == insert {
-            self.stats.skipped += 1;
-            return Ok(());
+            return Ok(false);
         }
         if insert {
             self.view.apply(d);
@@ -513,9 +600,7 @@ impl MutableSkyline {
         // edge-present graph covers every flippable pair of both the
         // old and the new graph (module docs), so one collection
         // serves insert and delete.
-        s.round = s.round.wrapping_add(1);
         let round = s.round;
-        s.dirty.clear();
         let mut tripped: Option<Completion> = None;
         for (e, other) in [(u, v), (v, u)] {
             if let Some(status) = ticker.check() {
@@ -567,33 +652,7 @@ impl MutableSkyline {
         if !insert {
             self.view.apply(d);
         }
-        // Recompute every dirty vertex into scratch; commit only after
-        // the full drain (recompute reads the graph, never the
-        // dominator array, so the commit is order-independent).
-        s.newdom.clear();
-        for i in 0..s.dirty.len() {
-            let x = s.dirty[i];
-            match recompute_vertex(&self.view, x, &mut s.nbrs, &mut s.cand, ticker) {
-                Ok(w) => s.newdom.push((x, w)),
-                Err(status) => {
-                    self.view.apply(d.inverse()); // both kinds are applied by now
-                    return Err(status);
-                }
-            }
-        }
-        for i in 0..s.newdom.len() {
-            if ticker.check().is_some() {
-                // Sticky: honored at the next delta boundary — a
-                // commit must not tear.
-            }
-            let (x, w) = s.newdom[i];
-            self.dominator[x as usize] = w;
-        }
-        self.stats.applied += 1;
-        self.stats.dirty_vertices += s.dirty.len() as u64;
-        self.stats.scoped_refines += s.newdom.len() as u64;
-        self.view.maybe_compact();
-        Ok(())
+        Ok(true)
     }
 }
 

@@ -4,7 +4,7 @@
 
 use crate::budget::{BudgetTicker, ExecutionBudget};
 use crate::exec::{self, ExecutionContext};
-use crate::filter_phase::filter_phase;
+use crate::filter_phase::filter_phase_with;
 use crate::obs::record_skyline_stats;
 use crate::refine::RefineConfig;
 use crate::result::{SkylineResult, SkylineStats};
@@ -160,7 +160,10 @@ fn parallel_leg(
     state: ParState,
 ) -> (SkylineResult, ParState) {
     let n = g.num_vertices();
-    let filter = filter_phase(g);
+    let filter = match filter_phase_with(g, budget, &mut budget.ticker()) {
+        Ok(filter) => filter,
+        Err(status) => return (SkylineResult::unfiltered(n, status), state),
+    };
     let mut stats: SkylineStats = filter.seed_stats();
 
     let bloom_cfg = BloomConfig::for_max_degree(g.max_degree(), cfg.bloom_bits_per_element);

@@ -3,7 +3,7 @@
 
 use crate::budget::{BudgetTicker, Completion, ExecutionBudget};
 use crate::exec::{self, ExecutionContext};
-use crate::filter_phase::{filter_phase, FilterOutcome};
+use crate::filter_phase::{filter_phase_with, FilterOutcome};
 use crate::obs::{record_skyline_stats, Recorder};
 use crate::result::{SkylineResult, SkylineStats};
 use crate::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
@@ -125,10 +125,13 @@ pub fn filter_refine_sky(g: &Graph, cfg: &RefineConfig) -> SkylineResult {
 /// trip the outcome is partial — the skyline holds exactly the
 /// candidates whose refine scan finished undominated before the trip (a
 /// sound subset of the true skyline) — and the dominant allocations
-/// (bloom filters, the candidate index) are charged against the memory
-/// cap *before* they are made; a refused charge yields zero verified
-/// vertices but the filter-phase dominator array and candidate set
-/// intact.
+/// (the filter phase's hub rows, bloom filters, the candidate index)
+/// are charged against the memory cap *before* they are made. The
+/// filter phase polls the budget too: a trip or a refused charge inside
+/// it yields zero verified vertices, no candidate set, empty stats and
+/// an identity dominator array; a refused charge after it yields zero
+/// verified vertices but the filter-phase dominator array and candidate
+/// set intact.
 pub fn filter_refine_sky_with(
     g: &Graph,
     cfg: &RefineConfig,
@@ -241,9 +244,14 @@ fn filter_refine_leg(
     rec: &dyn Recorder,
 ) -> (SkylineResult, RefineState) {
     let n = g.num_vertices();
+    let mut ticker = budget.ticker();
     rec.phase_start("filter");
-    let filter = filter_phase(g);
+    let filter = filter_phase_with(g, budget, &mut ticker);
     rec.phase_end("filter");
+    let filter = match filter {
+        Ok(filter) => filter,
+        Err(status) => return (SkylineResult::unfiltered(n, status), state),
+    };
     let mut stats: SkylineStats = filter.seed_stats();
     // A fresh (or structurally invalid) state starts from the filter
     // phase's dominator array; a resumed one continues where it stopped.
@@ -277,7 +285,6 @@ fn filter_refine_leg(
     rec.phase_start("bloom_build");
     let filters = NeighborhoodFilters::build(g, filter.candidates.iter().copied(), bloom_cfg);
     stats.peak_bytes = filters.size_bytes() + n * 4 /* dominator */ + n * 4 /* stamps */;
-    let mut ticker = budget.ticker();
 
     // Candidate-only adjacency index (CSR): cand_adj[v] lists N(v) ∩ C.
     let (cand_offsets, cand_adj) = if cfg.candidate_index {

@@ -101,6 +101,20 @@ impl SkylineResult {
         }
     }
 
+    /// The partial result of a run that tripped before its filter phase
+    /// finished: nothing verified, no candidate set, every vertex its
+    /// own (unverified) dominator.
+    pub(crate) fn unfiltered(n: usize, completion: Completion) -> Self {
+        let dominator = (0..n as VertexId).collect();
+        SkylineResult::partial(
+            Vec::new(),
+            dominator,
+            None,
+            SkylineStats::default(),
+            completion,
+        )
+    }
+
     /// Whether `u` belongs to the skyline.
     #[inline]
     pub fn contains(&self, u: VertexId) -> bool {

@@ -86,5 +86,23 @@ step env NSKY_QUICK=1 cargo run -q --release -p nsky-server --bin nsky-loadgen -
 # benchmark run.
 step cargo test -q --offline --manifest-path servebench/Cargo.toml
 
+# End-to-end write-path gate: a short mixed-pokec run of the serving
+# benchmark sends point reads, skyline reads and edge-delta updates to a
+# real server, and its oracle checks every answer — each update's
+# skyline, and at the last generation a BaseSky recompute, which shares
+# no code with the filter phase or the update engine. The last line of
+# the run must report `"correct":true` and `"failed":0`.
+servebench_gate() {
+    local line
+    line=$(cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- \
+        --workload mixed-pokec --seed 1 --seconds 3 --trace 0 | tail -n 1)
+    if ! grep -Eq '"correct": ?true' <<<"$line" || ! grep -Eq '"failed": ?0[,}]' <<<"$line"; then
+        echo "servebench mixed-pokec: wrong answers or failed requests: $line" >&2
+        return 1
+    fi
+    echo "servebench mixed-pokec: correct, 0 failed"
+}
+step servebench_gate
+
 echo
 echo "verify: all gates passed"

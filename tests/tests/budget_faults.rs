@@ -309,6 +309,41 @@ fn memory_caps_trip_before_allocating() {
     );
 }
 
+/// FilterRefineSky's filter phase gives every vertex of degree at
+/// least `2·⌈n/64⌉` a dense row of `⌈n/64⌉` words and charges the rows
+/// before building them. A cap one byte short of the
+/// rows trips there, with nothing else charged and no candidate set; a
+/// cap of exactly the rows lets the filter phase finish and trips at
+/// the refine phase's first charge instead.
+#[test]
+fn filter_phase_rows_are_charged_before_they_are_built() {
+    let g = graph(13);
+    let cfg = RefineConfig::default();
+    let words = g.num_vertices().div_ceil(64);
+    let hubs = g.vertices().filter(|&v| g.degree(v) >= 2 * words).count();
+    assert!(hubs > 0, "the graph needs a hub row");
+    let rows = hubs * words * 8;
+    let full = filter_refine_sky(&g, &cfg);
+
+    let short = ExecutionBudget::unlimited().memory_cap(rows - 1);
+    let r = filter_refine_sky_with(&g, &cfg, &mut ctx(&short)).outcome;
+    assert_eq!(r.completion, Completion::MemoryCapped);
+    assert!(r.skyline.is_empty() && r.candidates.is_none());
+    assert_eq!(r.stats.candidate_count, 0);
+    assert_eq!(short.charged_bytes(), rows, "only the rows were charged");
+    let short = ExecutionBudget::unlimited().memory_cap(rows - 1);
+    let r = filter_refine_sky_par_with(&g, &cfg, 2, &mut ctx(&short)).outcome;
+    assert_eq!(r.completion, Completion::MemoryCapped);
+    assert!(r.skyline.is_empty() && r.candidates.is_none());
+    assert_eq!(short.charged_bytes(), rows, "only the rows were charged");
+
+    let exact = ExecutionBudget::unlimited().memory_cap(rows);
+    let r = filter_refine_sky_with(&g, &cfg, &mut ctx(&exact)).outcome;
+    assert_eq!(r.completion, Completion::MemoryCapped);
+    assert_eq!(r.candidates, full.candidates, "the filter phase finished");
+    assert!(exact.charged_bytes() > rows);
+}
+
 #[test]
 fn pre_cancelled_budget_stops_the_parallel_refine_immediately() {
     // The fault matrix accepts `Complete` from parallel kernels in every

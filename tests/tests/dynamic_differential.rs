@@ -16,7 +16,8 @@ use nsky_skyline::budget::{ExecutionBudget, TripClock};
 use nsky_skyline::incremental::DynamicSkyline;
 use nsky_skyline::oracle::naive_skyline;
 use nsky_skyline::{filter_refine_sky, ExecutionContext, MutableSkyline, RefineConfig};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A chain of closed-twin pairs: `2i`/`2i+1` share a closed
 /// neighborhood, so every toggle shuffles tie-break decisions.
@@ -313,5 +314,146 @@ fn vertex_removal_agrees_with_its_delta_batch_encoding() {
         expect.sort_unstable();
         expect.dedup();
         assert_eq!(out.skyline, expect, "{label} removal {removal:?}");
+    }
+}
+
+/// Applies `batch` one delta per call: the per-delta repair that a
+/// chunked batch must reproduce.
+fn one_delta_per_call(g: &Graph, batch: &[EdgeDelta]) -> MutableSkyline {
+    let mut engine = MutableSkyline::new(g.clone());
+    for &d in batch {
+        assert!(engine.apply_batch(&[d]).is_complete());
+    }
+    engine
+}
+
+/// Chunked repair is invisible in the answer: one `apply_batch` call
+/// leaves the same skyline and the same witness for every vertex as
+/// the same batch applied one delta per call, for batches shorter
+/// than, as long as, and longer than one 64-delta chunk.
+#[test]
+fn one_call_matches_one_delta_per_call_witness_for_witness() {
+    for (label, g) in families(707) {
+        let n = g.num_vertices();
+        let mut rng = SplitMix64::new(0xC4A2 ^ n as u64);
+        for len in [1usize, 63, 64, 65, 130] {
+            let batch: Vec<EdgeDelta> = (0..len).map(|_| random_delta(&mut rng, n)).collect();
+            let mut chunked = MutableSkyline::new(g.clone());
+            let out = chunked.apply_batch(&batch);
+            assert!(out.is_complete(), "{label} len {len}");
+            assert_eq!(out.cursor, len, "{label} len {len}");
+            assert_eq!(out.stats.applied + out.stats.skipped, len as u64);
+            let single = one_delta_per_call(&g, &batch);
+            assert_eq!(out.skyline, single.skyline(), "{label} len {len}");
+            assert_eq!(
+                chunked.dominator(),
+                single.dominator(),
+                "{label} len {len}: witnesses differ"
+            );
+            assert_eq!(
+                out.skyline,
+                naive_skyline(&chunked.current_graph()).skyline,
+                "{label} len {len}"
+            );
+        }
+    }
+}
+
+/// A budget that trips at poll `k` (polling on every tick) and the
+/// clock that counts its polls.
+fn trip_at(k: u64) -> (ExecutionBudget, Arc<TripClock>) {
+    let clock = Arc::new(TripClock::at_poll(k));
+    let budget = ExecutionBudget::unlimited()
+        .deadline(Arc::clone(&clock))
+        .check_interval(1);
+    (budget, clock)
+}
+
+/// A trip anywhere in a 130-delta batch undoes the open chunk: the
+/// cursor lands on a chunk boundary (0, 64 or 128), the partial answer
+/// is that prefix's exact skyline, and resuming converges to the
+/// uninterrupted witnesses on the same engine and on a fresh one — a
+/// fresh engine fast-forwards the committed prefix first.
+#[test]
+fn trips_at_every_poll_of_a_long_batch_leave_exact_chunk_prefixes() {
+    for (label, g) in families(808) {
+        let n = g.num_vertices();
+        let mut rng = SplitMix64::new(0x7A11 ^ n as u64);
+        let batch: Vec<EdgeDelta> = (0..130).map(|_| random_delta(&mut rng, n)).collect();
+        let prefix_skyline = |cursor: usize| {
+            let mut engine = MutableSkyline::new(g.clone());
+            engine.apply_batch(&batch[..cursor]);
+            naive_skyline(&engine.current_graph()).skyline
+        };
+        let prefixes: BTreeMap<usize, Vec<VertexId>> = [0, 64, 128]
+            .into_iter()
+            .map(|c| (c, prefix_skyline(c)))
+            .collect();
+        let mut reference = MutableSkyline::new(g.clone());
+        let full = reference.apply_batch(&batch);
+        assert_eq!(full.skyline, prefix_skyline(130), "{label}");
+
+        let (budget, clock) = trip_at(u64::MAX);
+        let mut calibration = MutableSkyline::new(g.clone());
+        let run =
+            calibration.apply_batch_with(&batch, &mut ExecutionContext::new().budget(&budget));
+        assert!(run.outcome.is_complete(), "{label}");
+        let total = clock.polls();
+
+        let mut cursors = BTreeSet::new();
+        for k in 1..=total {
+            let (budget, _) = trip_at(k);
+            let mut engine = MutableSkyline::new(g.clone());
+            let run = engine.apply_batch_with(&batch, &mut ExecutionContext::new().budget(&budget));
+            assert!(!run.outcome.is_complete(), "{label} k={k}/{total}");
+            let cursor = run.outcome.cursor;
+            let Some(expect) = prefixes.get(&cursor) else {
+                panic!("{label} k={k}: cursor {cursor} is not a chunk boundary");
+            };
+            assert_eq!(&run.outcome.skyline, expect, "{label} k={k}");
+            cursors.insert(cursor);
+
+            let snapshot = run.snapshot.expect("a tripped run snapshots");
+            let mut fresh = MutableSkyline::new(g.clone());
+            let recovered = fresh
+                .apply_batch_with(&batch, &mut ExecutionContext::new().resume(Some(&snapshot)))
+                .outcome;
+            assert!(recovered.is_complete(), "{label} k={k}");
+            assert_eq!(recovered.stats, full.stats, "{label} k={k}: fresh");
+            assert_eq!(fresh.dominator(), reference.dominator(), "{label} k={k}");
+
+            let resumed = engine.apply_batch(&batch);
+            assert!(resumed.is_complete(), "{label} k={k}");
+            assert_eq!(resumed.stats, full.stats, "{label} k={k}: same");
+            assert_eq!(engine.dominator(), reference.dominator(), "{label} k={k}");
+        }
+        assert_eq!(
+            cursors.into_iter().collect::<Vec<_>>(),
+            [0, 64, 128],
+            "{label}: the sweep must reach every chunk boundary"
+        );
+    }
+}
+
+/// Checkpointing after every poll cannot starve a chunk: the driver's
+/// backoff grows the period until a chunk commits, and the batch ends
+/// with the same witnesses and counters as an unbudgeted run.
+#[test]
+fn a_one_poll_checkpoint_period_completes_with_the_same_bits() {
+    for (label, g) in families(909) {
+        let n = g.num_vertices();
+        let mut rng = SplitMix64::new(0xC0C0 ^ n as u64);
+        let batch: Vec<EdgeDelta> = (0..130).map(|_| random_delta(&mut rng, n)).collect();
+        let mut reference = MutableSkyline::new(g.clone());
+        let want = reference.apply_batch(&batch);
+        let budget = ExecutionBudget::unlimited().check_interval(1);
+        budget.set_checkpoint_period(1);
+        let mut engine = MutableSkyline::new(g.clone());
+        let run = engine.apply_batch_with(&batch, &mut ExecutionContext::new().budget(&budget));
+        assert!(run.outcome.is_complete(), "{label}");
+        assert!(run.snapshot.is_none(), "{label}");
+        assert_eq!(run.outcome.skyline, want.skyline, "{label}");
+        assert_eq!(run.outcome.stats, want.stats, "{label}");
+        assert_eq!(engine.dominator(), reference.dominator(), "{label}");
     }
 }

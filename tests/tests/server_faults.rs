@@ -200,6 +200,32 @@ fn deadline_partials_are_sound_subsets_never_errors() {
     assert_eq!(stats.protocol_errors, 0);
 }
 
+/// The filter phase polls the request's budget: a read of an empty
+/// cell that trips at its first poll stops inside the filter phase, so
+/// its report counts no candidates and closes no phase after `filter`.
+#[test]
+fn a_first_poll_skyline_trip_lands_inside_the_filter_phase() {
+    let handle = start_karate(test_config());
+    let addr = handle.addr();
+    let resp = request(
+        addr,
+        r#"{"op":"skyline","trip_after":1,"check_interval":1}"#,
+    );
+    assert_eq!(resp.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(resp.get("partial").and_then(Value::as_bool), Some(true));
+    assert!(skyline_ids(&resp).is_empty(), "{resp}");
+    let report = report_of(&resp);
+    assert_eq!(report.kernel, "server/filter_refine_sky");
+    assert_eq!(report.completion, "DeadlineExceeded");
+    assert_eq!(report.counter("candidates_emitted"), Some(0));
+    assert_eq!(report.counter("adjacency_probes"), Some(0));
+    let phases: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(phases, ["filter"]);
+    let stats = handle.shutdown_and_drain();
+    assert_eq!(stats.partial, 1, "{stats:?}");
+    assert_eq!(stats.protocol_errors, 0, "{stats:?}");
+}
+
 #[test]
 fn byzantine_clients_get_typed_errors_and_healthy_traffic_survives() {
     let handle = start_karate(test_config());
