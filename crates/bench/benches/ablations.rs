@@ -1,7 +1,6 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
-//! bloom-filter width, whole-filter pre-check, 2-hop dedup stamps,
-//! candidate-adjacency index, min-degree-neighbor scan, BaseSky early
-//! exit, and CELF lazy evaluation. Runs on the std-only
+//! bloom-filter width, whole-filter pre-check, min-degree-neighbor scan,
+//! BaseSky early exit, and CELF lazy evaluation. Runs on the std-only
 //! `nsky_bench::micro` harness.
 
 use nsky_bench::micro::Group;
@@ -46,20 +45,6 @@ fn bench_ablation_switches() {
             "no-prefilter",
             RefineConfig {
                 use_word_prefilter: false,
-                ..RefineConfig::default()
-            },
-        ),
-        (
-            "no-dedup",
-            RefineConfig {
-                dedup_two_hop: false,
-                ..RefineConfig::default()
-            },
-        ),
-        (
-            "no-candidate-index",
-            RefineConfig {
-                candidate_index: false,
                 ..RefineConfig::default()
             },
         ),

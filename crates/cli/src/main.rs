@@ -766,6 +766,25 @@ mod tests {
         let path = write_karate();
         let err = fail(&["skyline", &path, "--algorithm", "par", "--threads", "0"]);
         assert!(err.contains("at least 1"), "{err}");
+        // A thread count near usize::MAX / 4 must not reach any size
+        // arithmetic. The kernel starts one worker per chunk of
+        // candidates, so on karate it runs min(threads, |C|) workers.
+        let huge = ok(&[
+            "skyline",
+            &path,
+            "--algorithm",
+            "par",
+            "--threads",
+            "4611686018427387904",
+        ]);
+        let refine = ok(&["skyline", &path, "--algorithm", "refine"]);
+        let skyline_line = |out: &str| {
+            out.lines()
+                .find(|l| l.starts_with("skyline: "))
+                .map(str::to_owned)
+        };
+        assert!(huge.contains("|R| = 15"), "{huge}");
+        assert_eq!(skyline_line(&huge), skyline_line(&refine), "{huge}");
         let err = fail(&["skyline", &path, "--timeout", "-3"]);
         assert!(err.contains("--timeout"), "{err}");
         let err = fail(&["skyline", &path, "--check-interval", "0"]);

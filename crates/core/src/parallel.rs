@@ -1,12 +1,13 @@
 //! A chunked parallel variant of the refine phase (extension beyond the
 //! paper; the per-candidate checks are read-only and embarrassingly
-//! parallel).
+//! parallel). Each worker runs the sequential kernel's per-candidate
+//! scan, skipping on the frozen filter-phase dominator array.
 
-use crate::budget::{BudgetTicker, ExecutionBudget};
+use crate::budget::ExecutionBudget;
 use crate::exec::{self, ExecutionContext};
 use crate::filter_phase::filter_phase_with;
 use crate::obs::record_skyline_stats;
-use crate::refine::RefineConfig;
+use crate::refine::{refine_candidate, RefineConfig};
 use crate::result::{SkylineResult, SkylineStats};
 use crate::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
 use nsky_bloom::{BloomConfig, NeighborhoodFilters};
@@ -83,7 +84,9 @@ pub fn filter_refine_sky_par(g: &Graph, cfg: &RefineConfig, threads: usize) -> S
 /// fully verified (a sound subset of the true skyline — which candidates
 /// those are depends on thread scheduling). The recorder sees one
 /// `"refine_par"` span around the whole run plus a bulk flush of the
-/// run's [`SkylineStats`] at exit; workers never touch it.
+/// run's [`SkylineStats`] at exit; workers never touch it. Each worker
+/// counts its refine scans into its own stats, which the run adds up,
+/// so an untripped run reports the same counters for any thread count.
 ///
 /// # Panics
 ///
@@ -114,7 +117,7 @@ pub fn filter_refine_sky_par_with(
 
 /// Resume state of an interrupted [`filter_refine_sky_par`] run: one
 /// verdict per filter-phase candidate. Each verdict is a pure function
-/// of the graph, config and candidate ([`refine_one`] reads no shared
+/// of the graph, config and candidate (a worker's scan reads no shared
 /// refine-time state), so a resumed run recomputes only the
 /// still-unverified entries and the merged verdict array — hence the
 /// final dominator and skyline — is byte-identical regardless of which
@@ -167,7 +170,7 @@ fn parallel_leg(
     let mut stats: SkylineStats = filter.seed_stats();
 
     let bloom_cfg = BloomConfig::for_max_degree(g.max_degree(), cfg.bloom_bits_per_element);
-    let estimate = filter.candidates.len() * (bloom_cfg.bits / 8 + 4) + n * 4 + threads * n * 4;
+    let estimate = filter.candidates.len() * (bloom_cfg.bits / 8 + 4) + n * 4;
     if let Some(status) = budget.charge(estimate) {
         let result = SkylineResult::partial(
             Vec::new(),
@@ -179,7 +182,7 @@ fn parallel_leg(
         return (result, state);
     }
     let filters = NeighborhoodFilters::build(g, filter.candidates.iter().copied(), bloom_cfg);
-    stats.peak_bytes = filters.size_bytes() + n * 4 + threads * n * 4;
+    stats.peak_bytes = filters.size_bytes() + n * 4;
 
     let candidates = &filter.candidates;
     let is_candidate = &filter.dominator; // frozen: dominator[w] == w ⟺ w ∈ C
@@ -193,12 +196,13 @@ fn parallel_leg(
     } else {
         vec![Verdict::Unverified; candidates.len()]
     };
+    let mut worker_stats = vec![SkylineStats::default(); candidates.len().div_ceil(chunk)];
 
     std::thread::scope(|scope| {
         let filters = &filters;
-        for (slice, out) in candidates.chunks(chunk).zip(verdicts.chunks_mut(chunk)) {
+        let chunks = candidates.chunks(chunk).zip(verdicts.chunks_mut(chunk));
+        for ((slice, out), counted) in chunks.zip(worker_stats.iter_mut()) {
             scope.spawn(move || {
-                let mut seen: Vec<u32> = vec![u32::MAX; n];
                 let mut ticker = budget.ticker();
                 for (i, &u) in slice.iter().enumerate() {
                     if out[i] != Verdict::Unverified {
@@ -207,14 +211,19 @@ fn parallel_leg(
                     if ticker.check().is_some() {
                         break; // leave the rest of the chunk Unverified
                     }
-                    out[i] = refine_one(g, filters, is_candidate, cfg, &mut seen, &mut ticker, u);
-                    if out[i] == Verdict::Unverified {
-                        break; // tripped mid-scan
+                    match refine_candidate(g, filters, cfg, is_candidate, counted, &mut ticker, u) {
+                        Ok(w) if w == u => out[i] = Verdict::Skyline,
+                        Ok(w) => out[i] = Verdict::DominatedBy(w),
+                        Err(_) => break, // tripped mid-scan
                     }
                 }
             });
         }
     });
+    // nsky-lint: allow(poll-reachability) — bounded: one O(1) merge per joined worker
+    for counted in &worker_stats {
+        stats.add_refine_counters(counted);
+    }
 
     let completion = budget.status();
     let mut dominator = filter.dominator.clone();
@@ -244,91 +253,6 @@ fn parallel_leg(
         completion,
     );
     (result, state)
-}
-
-/// Pure per-candidate check: [`Verdict::DominatedBy`] the first 2-hop
-/// vertex that dominates `u` (strictly, or a smaller-ID twin),
-/// [`Verdict::Skyline`] if the scan completes without one, or
-/// [`Verdict::Unverified`] if the budget trips mid-scan.
-// HOT: per-candidate scan executed across the worker pool — shared-state
-// writes are stamp-array updates only, never heap growth.
-#[allow(clippy::too_many_arguments)]
-fn refine_one(
-    g: &Graph,
-    filters: &NeighborhoodFilters,
-    is_candidate: &[VertexId],
-    cfg: &RefineConfig,
-    seen: &mut [u32],
-    ticker: &mut BudgetTicker<'_>,
-    u: VertexId,
-) -> Verdict {
-    let du = g.degree(u);
-    if du == 0 {
-        return Verdict::Skyline;
-    }
-    let word_prefilter = cfg.use_word_prefilter && du >= filters.words_per_filter();
-    let round = u;
-    let nbrs = g.neighbors(u);
-    let scan_vs: &[VertexId] = if cfg.scan_min_neighbor {
-        let mut best = 0usize;
-        for i in 1..nbrs.len() {
-            if ticker.check().is_some() {
-                return Verdict::Unverified;
-            }
-            if g.degree(nbrs[i]) < g.degree(nbrs[best]) {
-                best = i;
-            }
-        }
-        &nbrs[best..=best]
-    } else {
-        nbrs
-    };
-    for &v in scan_vs {
-        for &w in g.neighbors(v) {
-            if ticker.check().is_some() {
-                return Verdict::Unverified;
-            }
-            if w == u {
-                continue;
-            }
-            if cfg.dedup_two_hop {
-                if seen[w as usize] == round {
-                    continue;
-                }
-                seen[w as usize] = round;
-            }
-            if g.degree(w) < du || is_candidate[w as usize] != w {
-                continue;
-            }
-            if word_prefilter && !filters.filter_subset(u, w) {
-                continue;
-            }
-            let mut dominated = true;
-            for &x in g.neighbors(u) {
-                if ticker.check().is_some() {
-                    return Verdict::Unverified;
-                }
-                if x == w || x == v {
-                    continue;
-                }
-                if !filters.maybe_contains(w, x) || !g.has_edge(w, x) {
-                    dominated = false;
-                    break;
-                }
-            }
-            if !dominated {
-                continue;
-            }
-            if g.degree(w) == du {
-                if w < u {
-                    return Verdict::DominatedBy(w);
-                }
-            } else {
-                return Verdict::DominatedBy(w);
-            }
-        }
-    }
-    Verdict::Skyline
 }
 
 #[cfg(test)]

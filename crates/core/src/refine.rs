@@ -3,7 +3,7 @@
 
 use crate::budget::{BudgetTicker, Completion, ExecutionBudget};
 use crate::exec::{self, ExecutionContext};
-use crate::filter_phase::{filter_phase_with, FilterOutcome};
+use crate::filter_phase::filter_phase_with;
 use crate::obs::{record_skyline_stats, Recorder};
 use crate::result::{SkylineResult, SkylineStats};
 use crate::snapshot::{KernelId, KernelState, Reader, RecoveryError, ResumableRun, Writer};
@@ -12,9 +12,11 @@ use nsky_graph::{Graph, VertexId};
 
 /// Tuning knobs of [`filter_refine_sky`].
 ///
-/// The defaults reproduce the paper's algorithm; the switches exist for
-/// the ablation benches (`ablation_bloom`, `ablation_prefilter`,
-/// `ablation_dedup`).
+/// The defaults run the paper's algorithm plus the min-degree-neighbor
+/// scan, which goes beyond it. Each switch is isolated by a variant of
+/// the `ablation_switches` bench group (`no-prefilter`,
+/// `no-min-neighbor`, `paper-faithful`), and the bloom width by the
+/// `ablation_bloom` group.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RefineConfig {
     /// Bloom width multiplier: filter bits = next power of two of
@@ -23,18 +25,6 @@ pub struct RefineConfig {
     /// Enable the whole-filter pre-check `BF(u) & BF(w) == BF(u)`
     /// (line 14 of Algorithm 3).
     pub use_word_prefilter: bool,
-    /// Deduplicate repeated 2-hop visits of the same `w` with a stamp
-    /// array. The paper re-scans duplicates; deduplication is a strict
-    /// improvement we quantify in `ablation_dedup`.
-    pub dedup_two_hop: bool,
-    /// Pre-index, per vertex, the *candidate* members of its adjacency
-    /// list, and enumerate 2-hop dominator candidates through that index.
-    /// This implements the paper's line-12 skip (`O(w) ≠ w ⇒ continue`)
-    /// before enumeration instead of after it: a low-degree candidate
-    /// next to a hub then scans the hub's few candidate neighbors
-    /// instead of its whole adjacency list. Strict improvement,
-    /// quantified by `ablation_candidate_index`.
-    pub candidate_index: bool,
     /// Enumerate dominator candidates from a *single* neighbor's list —
     /// the minimum-degree neighbor — instead of the union over all
     /// neighbors. Sufficient because a dominator `w` of `u` satisfies
@@ -43,7 +33,7 @@ pub struct RefineConfig {
     /// (an adjacent dominator would have edge-dominated `u`). This goes
     /// beyond the paper (which scans all neighbors' lists with the
     /// line-12 skip) and collapses the hub-adjacent pair explosion;
-    /// quantified by `ablation_min_neighbor`.
+    /// quantified by the `no-min-neighbor` variant of `ablation_switches`.
     pub scan_min_neighbor: bool,
 }
 
@@ -52,8 +42,6 @@ impl Default for RefineConfig {
         RefineConfig {
             bloom_bits_per_element: 2.0,
             use_word_prefilter: true,
-            dedup_two_hop: true,
-            candidate_index: true,
             scan_min_neighbor: true,
         }
     }
@@ -61,14 +49,12 @@ impl Default for RefineConfig {
 
 impl RefineConfig {
     /// The configuration closest to the paper's description
-    /// (`dmax`-bit filters, pre-filter on, no deduplication, no
-    /// candidate pre-indexing).
+    /// (`dmax`-bit filters, pre-filter on, every neighbor's list
+    /// scanned).
     pub fn paper_faithful() -> Self {
         RefineConfig {
             bloom_bits_per_element: 1.0,
             use_word_prefilter: true,
-            dedup_two_hop: false,
-            candidate_index: false,
             scan_min_neighbor: false,
         }
     }
@@ -125,13 +111,13 @@ pub fn filter_refine_sky(g: &Graph, cfg: &RefineConfig) -> SkylineResult {
 /// trip the outcome is partial — the skyline holds exactly the
 /// candidates whose refine scan finished undominated before the trip (a
 /// sound subset of the true skyline) — and the dominant allocations
-/// (the filter phase's hub rows, bloom filters, the candidate index)
-/// are charged against the memory cap *before* they are made. The
-/// filter phase polls the budget too: a trip or a refused charge inside
-/// it yields zero verified vertices, no candidate set, empty stats and
-/// an identity dominator array; a refused charge after it yields zero
-/// verified vertices but the filter-phase dominator array and candidate
-/// set intact.
+/// (the filter phase's hub rows and the bloom filters) are charged
+/// against the memory cap *before* they are made. The filter phase polls
+/// the budget too: a trip or a refused charge inside it yields zero
+/// verified vertices, no candidate set, empty stats and an identity
+/// dominator array; a refused charge after it yields zero verified
+/// vertices but the filter-phase dominator array and candidate set
+/// intact.
 pub fn filter_refine_sky_with(
     g: &Graph,
     cfg: &RefineConfig,
@@ -154,10 +140,10 @@ pub fn filter_refine_sky_with(
 
 /// Resume state of an interrupted [`filter_refine_sky`] run: the refine
 /// dominator array plus the index of the first candidate whose scan has
-/// not finished. The filter phase, bloom filters and candidate index are
-/// deterministic functions of the graph and config and are rebuilt on
-/// resume; a candidate's scan writes only its own dominator entry and
-/// stops at resolution, so a mid-scan trip leaves the entry pristine.
+/// not finished. The filter phase and bloom filters are deterministic
+/// functions of the graph and config and are rebuilt on resume; a
+/// candidate's scan writes only its own dominator entry and stops at
+/// resolution, so a mid-scan trip leaves the entry pristine.
 struct RefineState {
     dominator: Vec<VertexId>,
     cursor: usize,
@@ -190,50 +176,6 @@ impl KernelState for RefineState {
     }
 }
 
-/// Builds the candidate-only CSR adjacency: `cand_adj[v]` lists
-/// `N(v) ∩ C` for every vertex, in two O(m) passes (count, then fill).
-/// Both passes poll the ticker once per vertex row, and the adjacency
-/// buffer is charged against the budget before it is allocated; a trip
-/// surfaces as `Err(status)` so the caller can return a partial result.
-// HOT: one of the two O(m) sweeps of the refine leg — no per-row heap
-// traffic allowed; the buffers are sized once, outside the loops.
-fn build_candidate_index(
-    g: &Graph,
-    filter: &FilterOutcome,
-    budget: &ExecutionBudget,
-    ticker: &mut BudgetTicker<'_>,
-) -> Result<(Vec<usize>, Vec<VertexId>), Completion> {
-    let n = g.num_vertices();
-    let mut offsets = vec![0usize; n + 1];
-    for u in g.vertices() {
-        if let Some(status) = ticker.check() {
-            return Err(status);
-        }
-        offsets[u as usize + 1] = offsets[u as usize]
-            + g.neighbors(u)
-                .iter()
-                .filter(|&&w| filter.dominator[w as usize] == w)
-                .count();
-    }
-    if let Some(status) = budget.charge((n + 1) * 8 + offsets[n] * 4) {
-        return Err(status);
-    }
-    let mut adj = vec![0 as VertexId; offsets[n]];
-    let mut cursor = 0usize;
-    for u in g.vertices() {
-        if let Some(status) = ticker.check() {
-            return Err(status);
-        }
-        for &w in g.neighbors(u) {
-            if filter.dominator[w as usize] == w {
-                adj[cursor] = w;
-                cursor += 1;
-            }
-        }
-    }
-    Ok((offsets, adj))
-}
-
 // HOT: the refine scan is the kernel's dominant cost (ROADMAP item 2
 // keeps it allocation-free); every loop below polls the shared ticker.
 fn filter_refine_leg(
@@ -263,8 +205,7 @@ fn filter_refine_leg(
         };
 
     let bloom_cfg = BloomConfig::for_max_degree(g.max_degree(), cfg.bloom_bits_per_element);
-    let filter_estimate =
-        filter.candidates.len() * (bloom_cfg.bits / 8 + 4) + n * 4 /* dominator */ + n * 4 /* stamps */;
+    let filter_estimate = filter.candidates.len() * (bloom_cfg.bits / 8 + 4) + n * 4 /* dominator */;
     if let Some(status) = budget.charge(filter_estimate) {
         let verified = verified_prefix(&filter.candidates, start, &dominator);
         let result = SkylineResult::partial(
@@ -284,150 +225,22 @@ fn filter_refine_leg(
     }
     rec.phase_start("bloom_build");
     let filters = NeighborhoodFilters::build(g, filter.candidates.iter().copied(), bloom_cfg);
-    stats.peak_bytes = filters.size_bytes() + n * 4 /* dominator */ + n * 4 /* stamps */;
-
-    // Candidate-only adjacency index (CSR): cand_adj[v] lists N(v) ∩ C.
-    let (cand_offsets, cand_adj) = if cfg.candidate_index {
-        match build_candidate_index(g, &filter, budget, &mut ticker) {
-            Ok((offsets, adj)) => {
-                stats.peak_bytes += offsets.len() * 8 + adj.len() * 4;
-                (offsets, adj)
-            }
-            Err(status) => {
-                let verified = verified_prefix(&filter.candidates, start, &dominator);
-                let result = SkylineResult::partial(
-                    verified,
-                    dominator.clone(),
-                    Some(filter.candidates),
-                    stats,
-                    status,
-                );
-                return (
-                    result,
-                    RefineState {
-                        dominator,
-                        cursor: start,
-                    },
-                );
-            }
-        }
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    let dominator_candidates = |v: VertexId| -> &[VertexId] {
-        if cfg.candidate_index {
-            &cand_adj[cand_offsets[v as usize]..cand_offsets[v as usize + 1]]
-        } else {
-            g.neighbors(v)
-        }
-    };
-
+    stats.peak_bytes = filters.size_bytes() + n * 4 /* dominator */;
     rec.phase_end("bloom_build");
 
-    let mut seen: Vec<u32> = vec![u32::MAX; n];
     let mut tripped: Option<Completion> = None;
     let mut verified_upto = filter.candidates.len();
     rec.phase_start("refine");
-    'all: for (idx, &u) in filter.candidates.iter().enumerate().skip(start) {
+    for (idx, &u) in filter.candidates.iter().enumerate().skip(start) {
         if dominator[u as usize] != u {
             continue;
         }
-        let du = g.degree(u);
-        if du == 0 {
-            continue; // isolated: skyline by convention
-        }
-        // The whole-filter compare touches `words_per_filter` words; the
-        // per-neighbor bit probes touch ≈ 1 word before the first miss.
-        // Use the former only when u has enough neighbors to amortize it.
-        let word_prefilter = cfg.use_word_prefilter && du >= filters.words_per_filter();
-        let round = u;
-        // Either the single minimum-degree neighbor (sufficient, see
-        // RefineConfig::scan_min_neighbor) or all neighbors.
-        let nbrs = g.neighbors(u);
-        let scan_vs: &[VertexId] = if cfg.scan_min_neighbor {
-            let mut best = 0usize;
-            for i in 1..nbrs.len() {
-                if let Some(status) = ticker.check() {
-                    tripped = Some(status);
-                    verified_upto = idx; // u's scan did not finish
-                    break 'all;
-                }
-                if g.degree(nbrs[i]) < g.degree(nbrs[best]) {
-                    best = i;
-                }
-            }
-            &nbrs[best..=best]
-        } else {
-            nbrs
-        };
-        'scan: for &v in scan_vs {
-            for &w in dominator_candidates(v) {
-                if let Some(status) = ticker.check() {
-                    tripped = Some(status);
-                    verified_upto = idx; // u's scan did not finish
-                    break 'all;
-                }
-                if w == u {
-                    continue;
-                }
-                if cfg.dedup_two_hop {
-                    if seen[w as usize] == round {
-                        continue;
-                    }
-                    seen[w as usize] = round;
-                }
-                if g.degree(w) < du || dominator[w as usize] != w {
-                    continue;
-                }
-                stats.pair_tests += 1;
-                if word_prefilter {
-                    stats.bloom_queries += 1;
-                    if !filters.filter_subset(u, w) {
-                        stats.bf_word_rejects += 1;
-                        continue;
-                    }
-                    stats.bloom_hits += 1;
-                }
-                // Verify N(u) ⊆ N[w] neighbor by neighbor. `v` is known
-                // common (w ∈ N(v) ⇒ v ∈ N(w)); `w` itself is in N[w].
-                let mut dominated = true;
-                for &x in g.neighbors(u) {
-                    if let Some(status) = ticker.check() {
-                        tripped = Some(status);
-                        verified_upto = idx;
-                        break 'all;
-                    }
-                    if x == w || x == v {
-                        continue;
-                    }
-                    stats.bloom_queries += 1;
-                    if !filters.maybe_contains(w, x) {
-                        stats.bf_bit_rejects += 1;
-                        dominated = false;
-                        break;
-                    }
-                    stats.bloom_hits += 1;
-                    stats.adjacency_probes += 1;
-                    if !g.has_edge(w, x) {
-                        dominated = false;
-                        break;
-                    }
-                }
-                if !dominated {
-                    continue;
-                }
-                if g.degree(w) == du {
-                    // Mutual twins (domination Fact 3): smaller ID wins.
-                    if w < u {
-                        dominator[u as usize] = w;
-                        break 'scan;
-                    }
-                    // Larger-ID twin does not disqualify u; it will
-                    // self-detect during its own scan.
-                } else {
-                    dominator[u as usize] = w;
-                    break 'scan;
-                }
+        match refine_candidate(g, &filters, cfg, &dominator, &mut stats, &mut ticker, u) {
+            Ok(witness) => dominator[u as usize] = witness,
+            Err(status) => {
+                tripped = Some(status);
+                verified_upto = idx; // u's scan did not finish
+                break;
             }
         }
     }
@@ -461,6 +274,103 @@ fn filter_refine_leg(
             )
         }
     }
+}
+
+/// The refine scan of one candidate `u` (Algorithm 3's per-candidate
+/// loop), shared by the sequential leg and the parallel workers. Returns the
+/// first 2-hop vertex that dominates `u` (strictly, or as a smaller-ID
+/// twin), `u` itself when the scan finds none, or the budget status if
+/// the ticker trips mid-scan. A potential dominator `w` is skipped when
+/// `dominator[w] != w` (line 12): the sequential leg passes its live
+/// array, the parallel workers the frozen filter-phase array. Both are
+/// sound, because a dominated `w`'s skyline dominator also dominates `u`
+/// (transitivity, `domination` Fact 2) and is scanned anyway. The scan
+/// adds its pair tests and bloom and adjacency probes to `stats`.
+// HOT: per-candidate scan of both refine kernels; it writes only the
+// caller's counters, never the heap.
+pub(crate) fn refine_candidate(
+    g: &Graph,
+    filters: &NeighborhoodFilters,
+    cfg: &RefineConfig,
+    dominator: &[VertexId],
+    stats: &mut SkylineStats,
+    ticker: &mut BudgetTicker<'_>,
+    u: VertexId,
+) -> Result<VertexId, Completion> {
+    let du = g.degree(u);
+    if du == 0 {
+        return Ok(u); // isolated: skyline by convention
+    }
+    // The whole-filter compare touches `words_per_filter` words; the
+    // per-neighbor bit probes touch ≈ 1 word before the first miss.
+    // Use the former only when u has enough neighbors to amortize it.
+    let word_prefilter = cfg.use_word_prefilter && du >= filters.words_per_filter();
+    // Either the single minimum-degree neighbor (sufficient, see
+    // RefineConfig::scan_min_neighbor) or all neighbors.
+    let nbrs = g.neighbors(u);
+    let scan_vs: &[VertexId] = if cfg.scan_min_neighbor {
+        let mut best = 0usize;
+        for i in 1..nbrs.len() {
+            if let Some(status) = ticker.check() {
+                return Err(status);
+            }
+            if g.degree(nbrs[i]) < g.degree(nbrs[best]) {
+                best = i;
+            }
+        }
+        &nbrs[best..=best]
+    } else {
+        nbrs
+    };
+    for &v in scan_vs {
+        for &w in g.neighbors(v) {
+            if let Some(status) = ticker.check() {
+                return Err(status);
+            }
+            if w == u || g.degree(w) < du || dominator[w as usize] != w {
+                continue;
+            }
+            stats.pair_tests += 1;
+            if word_prefilter {
+                stats.bloom_queries += 1;
+                if !filters.filter_subset(u, w) {
+                    stats.bf_word_rejects += 1;
+                    continue;
+                }
+                stats.bloom_hits += 1;
+            }
+            // Verify N(u) ⊆ N[w] neighbor by neighbor. `v` is known
+            // common (w ∈ N(v) ⇒ v ∈ N(w)); `w` itself is in N[w].
+            let mut dominated = true;
+            for &x in nbrs {
+                if let Some(status) = ticker.check() {
+                    return Err(status);
+                }
+                if x == w || x == v {
+                    continue;
+                }
+                stats.bloom_queries += 1;
+                if !filters.maybe_contains(w, x) {
+                    stats.bf_bit_rejects += 1;
+                    dominated = false;
+                    break;
+                }
+                stats.bloom_hits += 1;
+                stats.adjacency_probes += 1;
+                if !g.has_edge(w, x) {
+                    dominated = false;
+                    break;
+                }
+            }
+            // Mutual twins (domination Fact 3): the smaller ID wins. A
+            // larger-ID twin does not disqualify u; it will self-detect
+            // during its own scan.
+            if dominated && (g.degree(w) > du || w < u) {
+                return Ok(w);
+            }
+        }
+    }
+    Ok(u)
 }
 
 /// The fixed points among the first `upto` candidates: exactly the
@@ -532,24 +442,18 @@ mod tests {
     #[test]
     fn matches_oracle_all_switch_combinations() {
         for &prefilter in &[false, true] {
-            for &dedup in &[false, true] {
-                for &cand_index in &[false, true] {
-                    for &min_nbr in &[false, true] {
-                        for &bits in &[0.5, 4.0] {
-                            let cfg = RefineConfig {
-                                bloom_bits_per_element: bits,
-                                use_word_prefilter: prefilter,
-                                dedup_two_hop: dedup,
-                                candidate_index: cand_index,
-                                scan_min_neighbor: min_nbr,
-                            };
-                            check(
-                                &chung_lu_power_law(120, 2.8, 5.0, 13),
-                                &cfg,
-                                &format!("cfg {cfg:?}"),
-                            );
-                        }
-                    }
+            for &min_nbr in &[false, true] {
+                for &bits in &[0.5, 4.0] {
+                    let cfg = RefineConfig {
+                        bloom_bits_per_element: bits,
+                        use_word_prefilter: prefilter,
+                        scan_min_neighbor: min_nbr,
+                    };
+                    check(
+                        &chung_lu_power_law(120, 2.8, 5.0, 13),
+                        &cfg,
+                        &format!("cfg {cfg:?}"),
+                    );
                 }
             }
         }

@@ -35,6 +35,20 @@ pub struct SkylineStats {
     pub peak_bytes: usize,
 }
 
+impl SkylineStats {
+    /// Adds another run's refine counters (pair tests, bloom and
+    /// adjacency probes) to these; the candidate count and peak bytes
+    /// describe the whole run and stay as they are.
+    pub(crate) fn add_refine_counters(&mut self, other: &SkylineStats) {
+        self.pair_tests += other.pair_tests;
+        self.bf_word_rejects += other.bf_word_rejects;
+        self.bf_bit_rejects += other.bf_bit_rejects;
+        self.adjacency_probes += other.adjacency_probes;
+        self.bloom_queries += other.bloom_queries;
+        self.bloom_hits += other.bloom_hits;
+    }
+}
+
 /// Output of a skyline computation.
 #[derive(Clone, Debug)]
 pub struct SkylineResult {

@@ -38,7 +38,6 @@ fn committed_locks_report_matches_the_workspace() {
     // regression message says *what* changed, not just "drifted".
     assert!(report.contains("condvar available ~ queue"));
     assert!(report.contains("order: updater -> epoch (run_update)"));
-    assert!(!report.contains("latencies_nanos"), "loadgen is lock-free");
 }
 
 /// `locks --check` is the CLI twin of the equality above; plain `locks`

@@ -16,7 +16,10 @@ use nsky_graph::generators::{
 };
 use nsky_graph::ops::induced_subgraph;
 use nsky_graph::{Graph, VertexId};
-use nsky_skyline::{base_sky, ExecutionContext};
+use nsky_skyline::{
+    base_sky, filter_refine_sky, filter_refine_sky_par, ExecutionContext, RefineConfig,
+    SkylineResult, SkylineStats,
+};
 
 fn notredame() -> Graph {
     nsky_datasets::paper_datasets()
@@ -244,5 +247,93 @@ fn prepared_decay_inputs_match_from_scratch_runs() {
 fn prepared_clique_inputs_match_fresh_builds() {
     for (label, g) in &prepared_input_graphs() {
         assert_prepared_clique_matches_fresh(label, g);
+    }
+}
+
+/// FNV-1a over a skyline run's dominator array and candidate set: one
+/// word that moves if any witness or candidate does.
+fn answer_hash(r: &SkylineResult) -> u64 {
+    let candidates = r.candidates.as_deref().unwrap_or(&[]);
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for &v in r.dominator.iter().chain(candidates) {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Every refine counter but `peak_bytes`, which measures the kernel's own
+/// scratch and so may shrink without any answer changing: pair tests,
+/// word rejects, bit rejects, adjacency probes, bloom queries, bloom
+/// hits, candidates.
+fn counters(s: &SkylineStats) -> [u64; 7] {
+    [
+        s.pair_tests,
+        s.bf_word_rejects,
+        s.bf_bit_rejects,
+        s.adjacency_probes,
+        s.bloom_queries,
+        s.bloom_hits,
+        u64::try_from(s.candidate_count).expect("candidate count fits u64"),
+    ]
+}
+
+fn stand_in(name: &str) -> Graph {
+    nsky_datasets::scalability_dataset(name)
+        .expect("a scalability stand-in")
+        .build()
+}
+
+/// FilterRefineSky's witnesses and counters, pinned on the serving
+/// benchmark's three stand-ins and the two 8k micro-bench graphs: the
+/// answer hash and counters under the default config, the same under
+/// `paper_faithful()` (skipped on the two largest graphs, where that
+/// config scans every neighbor's list and takes half a second even in
+/// release), and the parallel kernel's answer hash. A change to the
+/// refine scan that moves any witness or counter fails here.
+#[test]
+fn refine_witnesses_and_counters_are_pinned() {
+    type Pin = (u64, [u64; 7]);
+    #[rustfmt::skip]
+    let cases: [(&str, Graph, Pin, Option<Pin>); 5] = [
+        (
+            "LiveJournal", stand_in("LiveJournal"),
+            (0x88c2_6887_e92e_f5b1, [14_580, 4, 13_629, 70_346, 34_861, 21_228, 7_006]),
+            None,
+        ),
+        (
+            "Pokec", stand_in("Pokec"),
+            (0xf741_ef62_b595_428d, [1_742, 13, 934, 33_939, 9_672, 8_725, 1_050]),
+            None,
+        ),
+        (
+            "Notredame", notredame(),
+            (0x5580_2f4b_e925_7849, [885, 0, 846, 6_533, 2_355, 1_509, 697]),
+            Some((0x5580_2f4b_e925_7849, [168_584, 371, 166_222, 43_759, 205_328, 38_735, 697])),
+        ),
+        (
+            "leafy-8k", leafy_preferential(8_000, 0.95, 1.5, 5, 42),
+            (0x0d6a_219f_8614_e3e4, [891, 0, 737, 11_641, 2_556, 1_819, 983]),
+            Some((0x0d6a_219f_8614_e3e4, [423_937, 93, 420_602, 48_207, 459_080, 38_385, 983])),
+        ),
+        (
+            "affiliation-8k", affiliation_model(8_000, 4, 8, 0.7, 42),
+            (0xf940_84ea_616e_b5c3, [1_686, 3, 1_493, 17_157, 6_364, 4_868, 1_245]),
+            Some((0xf940_84ea_616e_b5c3, [591_795, 5_699, 575_950, 332_177, 901_537, 319_888, 1_245])),
+        ),
+    ];
+    for (name, g, default_pin, faithful_pin) in &cases {
+        let out = filter_refine_sky(g, &RefineConfig::default());
+        let got = (answer_hash(&out), counters(&out.stats));
+        assert_eq!(got, *default_pin, "{name}: default config");
+        if let Some(pin) = faithful_pin {
+            let out = filter_refine_sky(g, &RefineConfig::paper_faithful());
+            let got = (answer_hash(&out), counters(&out.stats));
+            assert_eq!(got, *pin, "{name}: paper-faithful config");
+        }
+        let par = filter_refine_sky_par(g, &RefineConfig::default(), 2);
+        assert_eq!(answer_hash(&par), default_pin.0, "{name}: parallel kernel");
     }
 }

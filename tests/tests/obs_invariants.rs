@@ -105,86 +105,135 @@ fn assert_same_skyline(label: &str, a: &SkylineResult, b: &SkylineResult) {
 /// Filter candidates bound the skyline, refine checks are bounded by
 /// candidate pairs, the bloom filter's hit/reject split accounts for
 /// every containment query, and the recorder's table equals the stats
-/// struct counter-for-counter.
+/// struct counter-for-counter — for the sequential kernel and for the
+/// parallel one at every thread count.
 #[test]
 fn skyline_counters_satisfy_the_accounting_identities() {
+    let cfg = RefineConfig::default();
+    let mut par_tested_pairs = false;
     for (label, g) in sweep() {
-        let n = g.num_vertices() as u64;
         let rec = CountingRecorder::new();
-        let out = filter_refine_sky_with(&g, &RefineConfig::default(), &mut recorded(&rec)).outcome;
-        assert_eq!(out.completion, Completion::Complete, "{label}");
-        let stats = &out.stats;
+        let out = filter_refine_sky_with(&g, &cfg, &mut recorded(&rec)).outcome;
+        assert_counters_account(&label, &g, &rec, &out, &["filter", "bloom_build", "refine"]);
 
-        // The filter phase may only over-approximate the skyline.
+        // The parallel workers run the sequential kernel's scan against
+        // the frozen filter-phase array, so each candidate's counts are
+        // fixed and no thread count may change their sum.
+        let par: Vec<_> = [1, 2, 4, 7]
+            .into_iter()
+            .map(|threads| {
+                let at = format!("{label}/par{threads}");
+                let rec = CountingRecorder::new();
+                let out =
+                    filter_refine_sky_par_with(&g, &cfg, threads, &mut recorded(&rec)).outcome;
+                assert_counters_account(&at, &g, &rec, &out, &["refine_par"]);
+                out.stats
+            })
+            .collect();
         assert!(
-            stats.candidate_count >= out.skyline.len(),
-            "{label}: {} candidates < {} skyline vertices",
-            stats.candidate_count,
-            out.skyline.len()
+            par.windows(2).all(|w| w[0] == w[1]),
+            "{label}: parallel counters vary with the thread count: {par:?}"
         );
-        // Refine tests each candidate against potential dominators —
-        // never more than candidates × (n − 1) ordered pairs.
-        let c = stats.candidate_count as u64;
+        // Until the sequential kernel tests its first pair it marks no
+        // candidate dominated, so its live array still equals the frozen
+        // one the workers read: both kernels test pairs on the same
+        // graphs.
+        assert_eq!(
+            par[0].pair_tests > 0,
+            out.stats.pair_tests > 0,
+            "{label}: {par:?} vs {:?}",
+            out.stats
+        );
+        par_tested_pairs |= par[0].pair_tests > 0;
+    }
+    assert!(
+        par_tested_pairs,
+        "the parallel kernel counted no pair tests"
+    );
+}
+
+/// The accounting identities of one complete skyline run whose recorder
+/// saw exactly the spans `phases`, in order.
+fn assert_counters_account(
+    label: &str,
+    g: &Graph,
+    rec: &CountingRecorder,
+    out: &SkylineResult,
+    phases: &[&str],
+) {
+    let n = g.num_vertices() as u64;
+    assert_eq!(out.completion, Completion::Complete, "{label}");
+    let stats = &out.stats;
+
+    // The filter phase may only over-approximate the skyline.
+    assert!(
+        stats.candidate_count >= out.skyline.len(),
+        "{label}: {} candidates < {} skyline vertices",
+        stats.candidate_count,
+        out.skyline.len()
+    );
+    // Refine tests each candidate against potential dominators —
+    // never more than candidates × (n − 1) ordered pairs.
+    let c = stats.candidate_count as u64;
+    assert!(
+        stats.pair_tests <= c * n.saturating_sub(1),
+        "{label}: {} pair tests exceed the candidate-pair bound",
+        stats.pair_tests
+    );
+    // Every bloom containment query resolves to exactly one of:
+    // hit, word-level reject, bit-level reject.
+    assert_eq!(
+        stats.bloom_queries,
+        stats.bloom_hits + stats.bf_word_rejects + stats.bf_bit_rejects,
+        "{label}: bloom accounting leak"
+    );
+
+    // The bulk flush must mirror the stats struct exactly.
+    assert_eq!(rec.value(Counter::CandidatesEmitted), c, "{label}");
+    assert_eq!(rec.value(Counter::PairTests), stats.pair_tests, "{label}");
+    assert_eq!(
+        rec.value(Counter::BloomQueries),
+        stats.bloom_queries,
+        "{label}"
+    );
+    assert_eq!(rec.value(Counter::BloomHits), stats.bloom_hits, "{label}");
+    assert_eq!(
+        rec.value(Counter::BloomWordRejects),
+        stats.bf_word_rejects,
+        "{label}"
+    );
+    assert_eq!(
+        rec.value(Counter::BloomBitRejects),
+        stats.bf_bit_rejects,
+        "{label}"
+    );
+    assert_eq!(
+        rec.value(Counter::AdjacencyProbes),
+        stats.adjacency_probes,
+        "{label}"
+    );
+    assert_eq!(
+        rec.value(Counter::PeakBytes),
+        stats.peak_bytes as u64,
+        "{label}"
+    );
+
+    // An unlimited-budget run closes all its phases, in order.
+    let recorded = rec.phases();
+    let names: Vec<&str> = recorded.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(names, phases, "{label}");
+    for pair in recorded.windows(2) {
         assert!(
-            stats.pair_tests <= c * n.saturating_sub(1),
-            "{label}: {} pair tests exceed the candidate-pair bound",
-            stats.pair_tests
+            pair[0].start_nanos <= pair[1].start_nanos,
+            "{label}: phases out of order"
         );
-        // Every bloom containment query resolves to exactly one of:
-        // hit, word-level reject, bit-level reject.
-        assert_eq!(
-            stats.bloom_queries,
-            stats.bloom_hits + stats.bf_word_rejects + stats.bf_bit_rejects,
-            "{label}: bloom accounting leak"
+    }
+    for p in &recorded {
+        assert!(
+            p.end_nanos >= p.start_nanos,
+            "{label}: span `{}` ends before it starts",
+            p.name
         );
-
-        // The bulk flush must mirror the stats struct exactly.
-        assert_eq!(rec.value(Counter::CandidatesEmitted), c, "{label}");
-        assert_eq!(rec.value(Counter::PairTests), stats.pair_tests, "{label}");
-        assert_eq!(
-            rec.value(Counter::BloomQueries),
-            stats.bloom_queries,
-            "{label}"
-        );
-        assert_eq!(rec.value(Counter::BloomHits), stats.bloom_hits, "{label}");
-        assert_eq!(
-            rec.value(Counter::BloomWordRejects),
-            stats.bf_word_rejects,
-            "{label}"
-        );
-        assert_eq!(
-            rec.value(Counter::BloomBitRejects),
-            stats.bf_bit_rejects,
-            "{label}"
-        );
-        assert_eq!(
-            rec.value(Counter::AdjacencyProbes),
-            stats.adjacency_probes,
-            "{label}"
-        );
-        assert_eq!(
-            rec.value(Counter::PeakBytes),
-            stats.peak_bytes as u64,
-            "{label}"
-        );
-
-        // An unlimited-budget run closes all three phases, in order.
-        let phases = rec.phases();
-        let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, ["filter", "bloom_build", "refine"], "{label}");
-        for pair in phases.windows(2) {
-            assert!(
-                pair[0].start_nanos <= pair[1].start_nanos,
-                "{label}: phases out of order"
-            );
-        }
-        for p in &phases {
-            assert!(
-                p.end_nanos >= p.start_nanos,
-                "{label}: span `{}` ends before it starts",
-                p.name
-            );
-        }
     }
 }
 

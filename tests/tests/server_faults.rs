@@ -11,13 +11,15 @@
 //! - partial-answer soundness — a deadline-tripped skyline is a subset
 //!   of the full skyline computed in-process;
 //! - healthy-client latency stays bounded while faulty clients
-//!   misbehave;
+//!   misbehave, and concurrent healthy clients all answer `ok` while
+//!   faulty arrivals interleave with them;
 //! - load past the shed threshold yields `overloaded` + `retry_after_ms`
 //!   while an in-flight healthy request still completes.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use nsky_centrality::measure::{Closeness, GroupMeasure, Harmonic};
@@ -324,6 +326,72 @@ fn byzantine_clients_get_typed_errors_and_healthy_traffic_survives() {
     let stats = handle.shutdown_and_drain();
     assert!(stats.protocol_errors >= 4);
     assert!(stats.completed >= 5, "healthy traffic: {stats:?}");
+}
+
+/// One byzantine arrival of the given flavor: a torn frame, garbage
+/// bytes, an oversized frame, or a bare connect-and-close.
+fn byzantine_arrival(addr: SocketAddr, flavor: usize) {
+    let mut stream = connect(addr);
+    // The server may tear the connection down mid-write; only its
+    // answers to the healthy clients are checked.
+    let _ = match flavor {
+        0 => stream.write_all(b"{\"op\":\"sky"),
+        1 => stream.write_all(b"\x01\x02\x03 not json at all\n"),
+        2 => stream.write_all(&[b'x'; 64 * 1024]),
+        _ => Ok(()),
+    };
+}
+
+/// Four client threads, released together, claim 32 arrivals in turn.
+/// Every fourth arrival is byzantine, rotating through torn, garbage,
+/// oversized and connect-and-close; every healthy skyline read among
+/// the rest must answer `ok` while those faults interleave with it.
+#[test]
+fn concurrent_healthy_clients_stay_ok_amid_faulty_arrivals() {
+    const ARRIVALS: usize = 32;
+    let handle = start_karate(ServerConfig {
+        // Room for every arrival at once: shedding is tested below.
+        queue_capacity: ARRIVALS,
+        ..test_config()
+    });
+    let addr = handle.addr();
+    let next = AtomicUsize::new(0);
+    let start = Barrier::new(4);
+    let client = || {
+        start.wait();
+        let mut healthy = 0;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= ARRIVALS {
+                return healthy;
+            }
+            if i % 4 == 1 {
+                byzantine_arrival(addr, i / 4 % 4);
+                continue;
+            }
+            let resp = request(addr, r#"{"op":"skyline"}"#);
+            assert_eq!(
+                resp.get("ok").and_then(Value::as_bool),
+                Some(true),
+                "healthy arrival {i} failed: {resp}"
+            );
+            healthy += 1;
+        }
+    };
+    let healthy: usize = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4).map(|_| scope.spawn(client)).collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .sum()
+    });
+    assert_eq!(healthy, ARRIVALS - ARRIVALS / 4);
+
+    // Two each of torn, garbage and oversized frames draw typed errors.
+    wait_for(&handle, |s| s.protocol_errors >= 6);
+    let stats = handle.shutdown_and_drain();
+    assert_eq!(stats.shed, 0, "{stats:?}");
+    assert!(stats.completed >= 24, "healthy traffic: {stats:?}");
 }
 
 #[test]
